@@ -50,13 +50,14 @@ double SolarModel::sin_elevation(sim::SimTime t) const {
 }
 
 util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) {
+  if (const util::WattsPerSquareMetre* memo = memo_.find(t)) return *memo;
   const double sin_el = sin_elevation(t);
-  if (sin_el <= 0.0) return util::WattsPerSquareMetre{0.0};
+  if (sin_el <= 0.0) return memo_.store(t, util::WattsPerSquareMetre{0.0});
   // Simple air-mass attenuation: direct+diffuse scale roughly with sin(el)
   // raised to a small extra power near the horizon.
   const double clear = config_.clear_sky_peak * sin_el *
                        std::pow(sin_el, 0.15);
-  return util::WattsPerSquareMetre{clear * cloud_factor(t)};
+  return memo_.store(t, util::WattsPerSquareMetre{clear * cloud_factor(t)});
 }
 
 double SolarModel::daylight_hours(sim::SimTime t) const {

@@ -8,6 +8,7 @@
 // solar panel contributes essentially nothing from November to February.
 #pragma once
 
+#include "env/instant_memo.h"
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -39,12 +40,14 @@ class SolarModel {
 
   // Snapshot support (docs/SNAPSHOT.md): the AR(1) cloud state and the RNG
   // stream are dynamics; the per-day geometry memo is deliberately not
-  // saved — it is recomputed bit-identically on first use.
+  // saved — it is recomputed bit-identically on first use — and the
+  // per-instant irradiance memo is cleared on load.
   template <class Archive>
   void persist(Archive& ar) {
     ar.value(rng_);
     ar.value(cloud_day_);
     ar.value(cloud_state_);
+    if constexpr (!Archive::kIsSaver) memo_.clear();
   }
 
  private:
@@ -76,6 +79,9 @@ class SolarModel {
   // AR(1) cloud state, refreshed once per simulated day.
   std::int64_t cloud_day_ = -1;
   double cloud_state_ = 0.0;
+  // gwlint: allow(persist-coverage): exact per-instant memo, cleared on
+  // load (env/instant_memo.h)
+  InstantMemo<util::WattsPerSquareMetre> memo_;
 };
 
 }  // namespace gw::env

@@ -9,6 +9,7 @@ TemperatureModel::TemperatureModel(TemperatureConfig config, util::Rng rng)
     : config_(config), rng_(rng) {}
 
 util::Celsius TemperatureModel::air(sim::SimTime t) {
+  if (const util::Celsius* memo = memo_.find(t)) return *memo;
   const std::int64_t day = t.millis_since_epoch() / 86'400'000;
   if (day != day_) {
     day_ = day;
@@ -30,7 +31,7 @@ util::Celsius TemperatureModel::air(sim::SimTime t) {
   const double diurnal =
       config_.diurnal_amplitude_c *
       std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
-  return util::Celsius{seasonal + diurnal + noise_state_};
+  return memo_.store(t, util::Celsius{seasonal + diurnal + noise_state_});
 }
 
 }  // namespace gw::env

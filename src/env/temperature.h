@@ -5,6 +5,7 @@
 // streams (§II). Seasonal sinusoid + diurnal swing + persistent noise.
 #pragma once
 
+#include "env/instant_memo.h"
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -38,6 +39,7 @@ class TemperatureModel {
     ar.value(rng_);
     ar.value(day_);
     ar.value(noise_state_);
+    if constexpr (!Archive::kIsSaver) memo_.clear();
   }
 
  private:
@@ -45,6 +47,9 @@ class TemperatureModel {
   util::Rng rng_;
   std::int64_t day_ = -1;
   double noise_state_ = 0.0;
+  // gwlint: allow(persist-coverage): exact per-instant memo, cleared on
+  // load (env/instant_memo.h)
+  InstantMemo<util::Celsius> memo_;
 };
 
 }  // namespace gw::env

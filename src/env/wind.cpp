@@ -34,10 +34,11 @@ void WindModel::refresh_hour(sim::SimTime t) {
 }
 
 util::MetresPerSecond WindModel::speed(sim::SimTime t) {
+  if (const util::MetresPerSecond* memo = memo_.find(t)) return *memo;
   refresh_day(t);
   refresh_hour(t);
   const double v = daily_mean_ * std::max(0.0, 1.0 + gust_state_);
-  return util::MetresPerSecond{v};
+  return memo_.store(t, util::MetresPerSecond{v});
 }
 
 }  // namespace gw::env

@@ -7,6 +7,7 @@
 // (stormier winters); within a day an AR(1) gust process modulates the mean.
 #pragma once
 
+#include "env/instant_memo.h"
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -36,6 +37,7 @@ class WindModel {
     ar.value(hour_);
     ar.value(daily_mean_);
     ar.value(gust_state_);
+    if constexpr (!Archive::kIsSaver) memo_.clear();
   }
 
  private:
@@ -48,6 +50,9 @@ class WindModel {
   std::int64_t hour_ = -1;
   double daily_mean_ = 0.0;
   double gust_state_ = 0.0;
+  // gwlint: allow(persist-coverage): exact per-instant memo, cleared on
+  // load (env/instant_memo.h)
+  InstantMemo<util::MetresPerSecond> memo_;
 };
 
 }  // namespace gw::env

@@ -103,9 +103,15 @@ class MainsCharger final : public Charger {
   [[nodiscard]] std::string name() const override { return "mains"; }
 
   [[nodiscard]] bool in_season(sim::SimTime t) const {
-    const int month = sim::to_datetime(t).month;
-    return month >= config_.season_start_month &&
-           month <= config_.season_end_month;
+    // The month only changes at midnight: convert once per day, not per
+    // tick.
+    const sim::SimTime midnight = sim::start_of_day(t);
+    if (midnight != month_day_) {
+      month_day_ = midnight;
+      month_ = sim::to_datetime(midnight).month;
+    }
+    return month_ >= config_.season_start_month &&
+           month_ <= config_.season_end_month;
   }
 
   [[nodiscard]] util::Watts output(sim::SimTime t,
@@ -115,6 +121,11 @@ class MainsCharger final : public Charger {
 
  private:
   MainsChargerConfig config_;
+  // gwlint: allow(persist-coverage): month of the day starting at
+  // month_day_, a pure function of it
+  mutable sim::SimTime month_day_{-1};
+  // gwlint: allow(persist-coverage): see month_day_
+  mutable int month_ = 0;
 };
 
 }  // namespace gw::power

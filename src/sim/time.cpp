@@ -63,10 +63,13 @@ SimTime at_midnight(int year, int month, int day) {
 }
 
 int day_of_year(SimTime t) {
-  const DateTime dt = to_datetime(t);
-  const std::int64_t this_day = days_from_civil(dt.year, dt.month, dt.day);
-  const std::int64_t jan1 = days_from_civil(dt.year, 1, 1);
-  return int(this_day - jan1) + 1;
+  const std::int64_t this_day =
+      start_of_day(t).millis_since_epoch() / kMsPerDay;
+  int year = 0;
+  int month = 0;
+  int day = 0;
+  civil_from_days(this_day, year, month, day);
+  return int(this_day - days_from_civil(year, 1, 1)) + 1;
 }
 
 Duration time_of_day(SimTime t) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "snapshot/archive.h"
+
 namespace gw::env {
 namespace {
 
@@ -66,6 +72,100 @@ TEST(Environment, ConfigPlumbsThrough) {
   Environment environment{config, 3};
   EXPECT_EQ(environment.interference().site(), RadioSite::kLab);
   EXPECT_NEAR(environment.gps_sky().config().mean_visible, 12.0, 1e-12);
+}
+
+// --- per-instant memo (env/instant_memo.h) ---------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<std::uint8_t> saved(Environment& environment) {
+  snapshot::Saver ar;
+  ar.value(environment);
+  return ar.take();
+}
+
+// One minute of the Fleet access pattern: `stations` identical queries of
+// the three memoised models per batch, with calls between the batches that
+// move the temperature model to other instants — snow and melt read
+// air(noon) / air(15:00) as they cross days, and an explicit read of the
+// previous day's noon swaps the model's day (and draws) twice a minute.
+// Returns the first value of every batch and of every interleaved call;
+// repeats that disagree with their batch's first value count as mismatches.
+std::vector<std::uint64_t> fleet_minute(Environment& env, sim::SimTime t,
+                                        int stations, int& mismatches) {
+  std::vector<std::uint64_t> seen;
+  const auto batch = [&] {
+    const std::uint64_t air = bits(env.temperature().air(t).value());
+    const std::uint64_t sun = bits(env.solar().irradiance(t).value());
+    const std::uint64_t wind = bits(env.wind().speed(t).value());
+    for (int s = 1; s < stations; ++s) {
+      mismatches += bits(env.temperature().air(t).value()) != air;
+      mismatches += bits(env.solar().irradiance(t).value()) != sun;
+      mismatches += bits(env.wind().speed(t).value()) != wind;
+    }
+    seen.insert(seen.end(), {air, sun, wind});
+  };
+  batch();
+  seen.push_back(bits(env.snow().depth(t, env.temperature()).value()));
+  seen.push_back(bits(env.melt().water_index(t, env.temperature())));
+  batch();
+  const sim::SimTime yesterday_noon = sim::start_of_day(t) - sim::hours(12);
+  seen.push_back(bits(env.temperature().air(yesterday_noon).value()));
+  batch();
+  return seen;
+}
+
+TEST(Environment, InstantMemoIsExact) {
+  Environment fleet{23};
+  Environment twin{23};
+  const sim::SimTime start = sim::at_midnight(2009, 3, 30);
+  int mismatches = 0;
+  int twin_mismatches = 0;
+  for (int minute = 0; minute < 3 * 24 * 60; ++minute) {
+    const sim::SimTime t = start + sim::minutes(minute);
+    const auto queried = fleet_minute(fleet, t, 32, mismatches);
+    const auto once = fleet_minute(twin, t, 1, twin_mismatches);
+    ASSERT_EQ(queried, once) << sim::format_iso(t);
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Same draws in the same order: the saved stochastic state agrees too.
+  EXPECT_EQ(saved(fleet), saved(twin));
+}
+
+TEST(Environment, SnapshotLoadClearsInstantMemo) {
+  const sim::SimTime memoised =
+      sim::at_midnight(2009, 6, 21) + sim::hours(12);
+  const sim::SimTime later = memoised + sim::days(3) + sim::hours(2);
+
+  Environment source{5};
+  (void)source.temperature().air(later);
+  (void)source.solar().irradiance(later);
+  (void)source.wind().speed(later);
+  const std::vector<std::uint8_t> bytes = saved(source);
+
+  // The target memoises `memoised`, then loads a snapshot of another day.
+  Environment target{5};
+  const double stale_air = target.temperature().air(memoised).value();
+  const double stale_sun = target.solar().irradiance(memoised).value();
+  const double stale_wind = target.wind().speed(memoised).value();
+  snapshot::Loader target_loader(bytes);
+  target_loader.value(target);
+
+  Environment fresh{5};
+  snapshot::Loader fresh_loader(bytes);
+  fresh_loader.value(fresh);
+
+  const double air = target.temperature().air(memoised).value();
+  const double sun = target.solar().irradiance(memoised).value();
+  const double wind = target.wind().speed(memoised).value();
+  EXPECT_EQ(bits(air), bits(fresh.temperature().air(memoised).value()));
+  EXPECT_EQ(bits(sun), bits(fresh.solar().irradiance(memoised).value()));
+  EXPECT_EQ(bits(wind), bits(fresh.wind().speed(memoised).value()));
+  // The loaded state is another day's, so a stale memo would have shown.
+  EXPECT_NE(bits(air), bits(stale_air));
+  EXPECT_NE(bits(sun), bits(stale_sun));
+  EXPECT_NE(bits(wind), bits(stale_wind));
+  EXPECT_EQ(saved(target), saved(fresh));
 }
 
 }  // namespace

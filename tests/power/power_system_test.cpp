@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "snapshot/archive.h"
+
 namespace gw::power {
 namespace {
 
 using namespace util::literals;
+
+// tick() books through slots into the system's own ledger maps; a copy or
+// move would keep writing into the original's books.
+static_assert(!std::is_copy_constructible_v<PowerSystem>);
+static_assert(!std::is_copy_assignable_v<PowerSystem>);
+static_assert(!std::is_move_constructible_v<PowerSystem>);
 
 struct Fixture {
   sim::Simulation simulation{sim::at_midnight(2009, 9, 22)};
@@ -235,6 +245,62 @@ TEST(PowerSystem, SolarDayChargesBatterySeptember) {
   const double before = power.battery().soc();
   f.simulation.run_until(f.simulation.now() + sim::days(1));
   EXPECT_GT(power.battery().soc(), before);
+}
+
+// A loaded PowerSystem must book into the ledger maps the load rebuilt,
+// not through slots resolved against the maps it was wired with.
+TEST(PowerSystem, LedgersSurviveSnapshotLoad) {
+  struct World {
+    Fixture f;
+    PowerSystem power{f.simulation, f.environment, f.config};
+    World() {
+      power.add_charger(std::make_unique<SolarPanel>(SolarPanelConfig{}));
+      power.add_charger(std::make_unique<MainsCharger>(MainsChargerConfig{}));
+      power.set_load(power.add_load("gumstix", 900_mW), true);
+      power.set_activity(power.add_component(modem_spec()), 1);
+    }
+    void run(int ticks) {
+      for (int i = 0; i < ticks; ++i) {
+        f.simulation.run_until(f.simulation.now() + sim::minutes(1));
+        power.tick(sim::minutes(1));
+      }
+    }
+  };
+  World cold;
+  cold.run(6 * 60);
+  snapshot::Saver saver;
+  saver.value(cold.f.environment);
+  saver.value(cold.power);
+  const std::vector<std::uint8_t> bytes = saver.take();
+  cold.run(18 * 60);
+
+  World forked;
+  forked.f.simulation.run_until(sim::at_midnight(2009, 9, 22) +
+                                sim::hours(6));
+  snapshot::Loader loader(bytes);
+  loader.value(forked.f.environment);
+  loader.value(forked.power);
+  forked.run(18 * 60);
+
+  for (const char* load : {"gumstix", "modem"}) {
+    EXPECT_EQ(cold.power.consumed_by(load).value(),
+              forked.power.consumed_by(load).value())
+        << load;
+  }
+  for (const char* charger : {"solar", "mains"}) {
+    EXPECT_EQ(cold.power.harvested_by(charger).value(),
+              forked.power.harvested_by(charger).value())
+        << charger;
+    EXPECT_EQ(cold.power.harvested_microjoules(charger),
+              forked.power.harvested_microjoules(charger))
+        << charger;
+  }
+  EXPECT_EQ(cold.power.delivered_microjoules(),
+            forked.power.delivered_microjoules());
+  EXPECT_EQ(forked.power.component_microjoules(),
+            forked.power.delivered_microjoules());
+  EXPECT_EQ(cold.power.battery().soc(), forked.power.battery().soc());
+  EXPECT_GT(forked.power.harvested_microjoules("solar"), 0);
 }
 
 }  // namespace

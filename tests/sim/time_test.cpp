@@ -61,6 +61,34 @@ TEST(CalendarTest, DayOfYear) {
   EXPECT_EQ(day_of_year(at_midnight(2009, 9, 22)), 265);
 }
 
+// day_of_year takes one civil_from_days per call; the reference is the
+// full-calendar formula it replaced. Every day 1900..2100 covers the
+// pre-epoch (negative) range, ordinary leap years, the 1900/2100 century
+// non-leap years and the 2000 400-year leap year, at both ends of the day.
+TEST(CalendarTest, DayOfYearMatchesFullCalendarFormula) {
+  const auto reference = [](SimTime t) {
+    const DateTime dt = to_datetime(t);
+    return int(days_from_civil(dt.year, dt.month, dt.day) -
+               days_from_civil(dt.year, 1, 1)) +
+           1;
+  };
+  const SimTime first = at_midnight(1900, 1, 1);
+  const SimTime last = at_midnight(2100, 12, 31);
+  int checked = 0;
+  for (SimTime t = first; t <= last; t += days(1)) {
+    ASSERT_EQ(day_of_year(t), reference(t)) << format_iso(t);
+    const SimTime late = t + days(1) - milliseconds(1);
+    ASSERT_EQ(day_of_year(late), reference(late)) << format_iso(late);
+    ++checked;
+  }
+  EXPECT_EQ(checked, days_from_civil(2100, 12, 31) -
+                         days_from_civil(1900, 1, 1) + 1);
+  EXPECT_EQ(day_of_year(at_midnight(1900, 12, 31)), 365);
+  EXPECT_EQ(day_of_year(at_midnight(2000, 12, 31)), 366);
+  EXPECT_EQ(day_of_year(at_midnight(2100, 12, 31)), 365);
+  EXPECT_EQ(day_of_year(at_midnight(1969, 12, 31) + hours(23)), 365);
+}
+
 TEST(CalendarTest, TimeOfDayAndStartOfDay) {
   const SimTime t = to_time(DateTime{2009, 9, 22, 13, 45, 30});
   EXPECT_DOUBLE_EQ(time_of_day(t).to_hours(), 13.0 + 45.0 / 60 + 30.0 / 3600);

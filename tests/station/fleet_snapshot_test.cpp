@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "snapshot/error.h"
@@ -95,6 +96,55 @@ TEST(FleetSnapshotTest, ForkResumedSeasonMatchesColdReplay) {
   EXPECT_EQ(cold.server().files_from("base"),
             forked.server().files_from("base"));
   EXPECT_EQ(cold.probes_alive(), forked.probes_alive());
+}
+
+std::string charger_name(ChargerKind kind) {
+  switch (kind) {
+    case ChargerKind::kSolar: return "solar";
+    case ChargerKind::kWind: return "wind";
+    case ChargerKind::kMains: return "mains";
+  }
+  return "";
+}
+
+// PowerSystem::tick writes its ledgers through slots resolved at wiring
+// time; a restore rebuilds the ledger maps underneath them. A forked world
+// must keep booking into the restored maps: after a day of ticking every
+// double and microjoule ledger equals the uninterrupted run's, exactly.
+TEST(FleetSnapshotTest, LedgersSurviveRestore) {
+  const FleetConfig config = small_faulted_config();
+  Fleet cold{config};
+  cold.simulation().run_until(cold.simulation().now() + checkpoint_offset());
+  const std::vector<std::uint8_t> snapshot = cold.save_snapshot();
+  const sim::SimTime resume_end = cold.simulation().now() + sim::days(1);
+  cold.simulation().run_until(resume_end);
+
+  Fleet forked{config};
+  forked.restore_snapshot(snapshot);
+  forked.simulation().run_until(resume_end);
+
+  for (std::size_t s = 0; s < cold.size(); ++s) {
+    power::PowerSystem& a = cold.station(s).power();
+    power::PowerSystem& b = forked.station(s).power();
+    SCOPED_TRACE(config.stations[s].station.name);
+    ASSERT_EQ(a.component_count(), b.component_count());
+    for (std::size_t c = 0; c < a.component_count(); ++c) {
+      const std::string& name = a.component(c).name();
+      EXPECT_EQ(a.consumed_by(name).value(), b.consumed_by(name).value())
+          << name;
+    }
+    for (const ChargerKind kind : config.stations[s].chargers) {
+      const std::string name = charger_name(kind);
+      EXPECT_EQ(a.harvested_by(name).value(), b.harvested_by(name).value())
+          << name;
+      EXPECT_EQ(a.harvested_microjoules(name), b.harvested_microjoules(name))
+          << name;
+    }
+    EXPECT_EQ(a.delivered_microjoules(), b.delivered_microjoules());
+    EXPECT_EQ(a.component_microjoules(), b.component_microjoules());
+    EXPECT_EQ(b.component_microjoules(), b.delivered_microjoules());
+    EXPECT_GT(b.delivered_microjoules(), 0);
+  }
 }
 
 TEST(FleetSnapshotTest, SaveIsDeterministic) {
