@@ -15,11 +15,14 @@
 #      ledger slot or a stale environment memo after a restore fails
 #      here (docs/PERFORMANCE.md). Off by default — it is a full extra
 #      build — and gated on cmake being available;
-#   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test and
-#      sim_test in a separate build-tsan/ dir with -DGW_SANITIZE=thread and
-#      runs the Monte Carlo runner tests (pool handoff + determinism) plus
-#      the sharded-kernel tests (window barriers, cross-shard messages)
-#      under TSan. Off by default for the same reason as the ASan leg;
+#   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test,
+#      sim_test, station_test and system_test in a separate build-tsan/ dir
+#      with -DGW_SANITIZE=thread and runs the Monte Carlo runner tests
+#      (pool handoff + determinism), the sharded-kernel tests (window
+#      barriers, cross-shard messages) and the sharded fleet tests
+#      (ShardedFleetTest.*, ShardedDeterminism.*: the per-shard dirty
+#      lists workers fill and the barrier drain reads) under TSan. Off by
+#      default for the same reason as the ASan leg;
 #   5. performance bench export: when build/bench/bench_throughput and
 #      build/bench/bench_microbench exist (i.e. the default build has run),
 #      runs them and leaves machine-readable results in the repo root as
@@ -119,13 +122,16 @@ fi
 # --- 4. TSan runner leg (opt-in: GW_CHECK_TSAN=1) -------------------------
 if [ "${GW_CHECK_TSAN:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== TSan runner + sharded kernel tests (build-tsan/)"
+    echo "== TSan runner + sharded kernel + sharded fleet tests (build-tsan/)"
     if cmake -B build-tsan -S . -DGW_SANITIZE=thread >/dev/null &&
-       cmake --build build-tsan --target runner_test sim_test -j \
-         >/dev/null &&
+       cmake --build build-tsan --target runner_test sim_test station_test \
+         system_test -j >/dev/null &&
        ./build-tsan/tests/runner_test &&
-       ./build-tsan/tests/sim_test --gtest_filter='Sharded*'; then
-      echo "ok: runner pool + sharded kernel clean under TSan"
+       ./build-tsan/tests/sim_test --gtest_filter='Sharded*' &&
+       ./build-tsan/tests/station_test --gtest_filter='ShardedFleetTest.*' &&
+       ./build-tsan/tests/system_test --gtest_filter='ShardedDeterminism.*'
+    then
+      echo "ok: runner pool, sharded kernel and sharded fleet clean under TSan"
     else
       echo "FAIL: TSan runner/sharded tests"
       failures=$((failures + 1))

@@ -36,6 +36,7 @@
 
 #include "core/power_policy.h"
 #include "obs/journal.h"
+#include "sim/dirty_mark.h"
 #include "sim/time.h"
 
 namespace gw::core {
@@ -89,7 +90,10 @@ class SyncServer {
   void report_state(const std::string& station, PowerState state,
                     sim::SimTime at = sim::kEpoch) {
     latest_[station] = Entry{state, at};
-    if (report_log_enabled_) report_log_.push_back({station, state, at});
+    if (report_log_enabled_) {
+      report_log_.push_back({station, state, at});
+      if (outbox_mark_ != nullptr) outbox_mark_->mark();
+    }
   }
 
   // --- shard-message access points (sim/sharded_simulation.h) -------------
@@ -117,6 +121,10 @@ class SyncServer {
   // Off by default: the serial server keeps its zero-overhead ledger.
   void enable_report_log(bool enabled = true) { report_log_enabled_ = enabled; }
   [[nodiscard]] bool report_log_enabled() const { return report_log_enabled_; }
+
+  // Every logged report marks `mark`, so the barrier drain visits this
+  // replica (sim/dirty_mark.h); null = no one to tell.
+  void set_outbox_mark(sim::DirtyMark* mark) { outbox_mark_ = mark; }
 
   // Moves out everything report_state() logged since the previous drain,
   // in report order. Always empty while the log is disabled.
@@ -350,6 +358,7 @@ class SyncServer {
   mutable std::uint64_t future_reports_ignored_ = 0;
   bool report_log_enabled_ = false;
   std::vector<ReportRecord> report_log_;
+  sim::DirtyMark* outbox_mark_ = nullptr;
   std::map<std::string, std::string> group_of_;
   std::map<std::string, PowerState> group_overrides_;
   std::optional<PowerState> manual_override_;

@@ -78,6 +78,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   // Pass 1: one world per station, on its group's shard. The replica
   // server mirrors the serial wiring (oracle, sync groups) but owns only
   // this station's traffic; its report log feeds the barrier drains.
+  // Every world starts marked, so the first drain is a full scan.
+  dirty_.resize(shard_count);
   worlds_.reserve(fleet.stations.size());
   for (const StationSpec& spec : fleet.stations) {
     auto world = std::make_unique<World>();
@@ -91,6 +93,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     world->server = std::make_unique<SouthamptonServer>();
     world->server->set_station_queue_limit(fleet.server_station_queue_limit);
     world->server->sync().enable_report_log();
+    world->outbox.attach(dirty_[world->shard], worlds_.size());
+    world->server->set_outbox_mark(&world->outbox);
     if (plan.has_value()) {
       world->oracle = std::make_unique<fault::FaultOracle>(
           *plan, sim::to_time(fleet.start));
@@ -306,8 +310,19 @@ std::string ShardedFleet::probe_series_name(const std::string& station_name,
 
 void ShardedFleet::drain(sim::SimTime barrier) {
   (void)barrier;
-  for (std::size_t s = 0; s < worlds_.size(); ++s) {
+  // Only the worlds that pushed output since the last barrier, in
+  // ascending index: a full scan's order with the silent worlds skipped.
+  // A silent world posts nothing, so every post keeps the merge seq a full
+  // scan would give it (docs/PARALLELISM.md, "Barrier drain").
+  std::vector<std::size_t> marked;
+  for (auto& list : dirty_) {
+    marked.insert(marked.end(), list.begin(), list.end());
+    list.clear();
+  }
+  std::sort(marked.begin(), marked.end());
+  for (const std::size_t s : marked) {
     World& world = *worlds_[s];
+    world.outbox.unmark();
     // Fresh sync reports relay to every group peer's replica as
     // kernel-exact events at report time + latency: visibility is uniform
     // whether or not the peer shares a shard, so partition never shows.

@@ -44,6 +44,7 @@
 #include "fault/fault.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "sim/dirty_mark.h"
 #include "sim/sharded_simulation.h"
 #include "sim/trace.h"
 #include "station/fleet.h"
@@ -201,9 +202,12 @@ class ShardedFleet {
     std::unique_ptr<Station> station;
     std::vector<std::unique_ptr<ProbeNode>> probes;
     sim::Trace trace;
+    // Set by the replica's outbound pushes; the drain visits marked worlds.
+    sim::DirtyMark outbox;
   };
 
-  // Barrier hook: drains every replica's outbound ledgers into messages.
+  // Barrier hook: drains the outbound ledgers of the worlds marked since
+  // the previous barrier into messages, in ascending world index.
   // gw::context(coordinator)
   void drain(sim::SimTime barrier);
   // Runs on the worker advancing the station's shard (scheduled as a
@@ -217,6 +221,10 @@ class ShardedFleet {
   std::unique_ptr<sim::ShardedSimulation> sharded_;
   SouthamptonServer hub_;
   std::vector<std::unique_ptr<World>> worlds_;
+  // Per-shard dirty lists: world indices marked since the previous drain.
+  // Appended only by the worker advancing that shard, read and cleared by
+  // the drain after the pool join.
+  std::vector<std::vector<std::size_t>> dirty_;
   // Real sync groups (ungrouped stations excluded), name -> member world
   // indices in spec order.
   std::map<std::string, std::vector<std::size_t>> groups_;

@@ -39,6 +39,7 @@
 #include "fault/fault.h"
 #include "obs/journal.h"
 #include "proto/messages.h"
+#include "sim/dirty_mark.h"
 #include "sim/time.h"
 #include "util/units.h"
 
@@ -158,6 +159,7 @@ class SouthamptonServer {
     ++files_by_station_[station];
     ++files_received_;
     trim_received();
+    if (outbox_mark_ != nullptr) outbox_mark_->mark();
   }
 
   // The rolling receipt window (all receipts when no window is set).
@@ -212,6 +214,7 @@ class SouthamptonServer {
 
   void record_special_result(core::SpecialExecution execution) {
     special_results_.push_back(std::move(execution));
+    if (outbox_mark_ != nullptr) outbox_mark_->mark();
   }
 
   [[nodiscard]] const std::vector<core::SpecialExecution>& special_results()
@@ -250,6 +253,7 @@ class SouthamptonServer {
                       sim::SimTime at) {
     ++beacons_by_station_[station];
     beacons_.push_back({station, std::move(beacon), at});
+    if (outbox_mark_ != nullptr) outbox_mark_->mark();
   }
 
   struct TimedBeacon {
@@ -307,6 +311,13 @@ class SouthamptonServer {
   // results — to the authoritative hub as timestamped messages drained at
   // window barriers (docs/PARALLELISM.md). Drains move the raw ledgers out
   // in arrival order; the exact per-station totals are counters and stay.
+  // Every push into those ledgers, and every report the sync ledger logs,
+  // marks `mark` (sim/dirty_mark.h), so the drain skips silent replicas;
+  // null = no one to tell.
+  void set_outbox_mark(sim::DirtyMark* mark) {
+    outbox_mark_ = mark;
+    sync_.set_outbox_mark(mark);
+  }
 
   [[nodiscard]] std::vector<ReceivedFile> drain_received() {
     std::vector<ReceivedFile> drained{
@@ -442,6 +453,7 @@ class SouthamptonServer {
   }
 
   fault::FaultOracle* oracle_ = nullptr;
+  sim::DirtyMark* outbox_mark_ = nullptr;
   obs::Hooks hooks_;
   core::SyncServer sync_;
   std::deque<ReceivedFile> received_;

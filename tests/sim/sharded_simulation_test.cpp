@@ -6,6 +6,7 @@
 // late).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -219,13 +220,15 @@ TEST(ShardedSimulation, HookPostsFeedLaterWindows) {
 
 TEST(ShardedSimulation, StatsCountWindowsAndEvents) {
   ShardedSimulation sharded{make_config(3, 2, sim::minutes(30))};
-  int fired = 0;
+  // Two workers run shards of one window at once: the shared count is
+  // atomic.
+  std::atomic<int> fired{0};
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     sharded.shard(s).schedule_at(kStart + sim::minutes(double(5 + s)),
                                  [&fired] { ++fired; });
   }
   sharded.run_until(kStart + sim::hours(1));
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(fired.load(), 3);
   EXPECT_EQ(sharded.events_executed(), 3u);
   EXPECT_EQ(sharded.windows_run(), 2u);
   EXPECT_EQ(sharded.now(), kStart + sim::hours(1));

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/md5.h"
+
 namespace gw::station {
 namespace {
 
@@ -131,6 +133,96 @@ TEST(ShardedFleetTest, QueuedSpecialRoutesToItsStationAndResultsFlowBack) {
   // The execution record reached the authoritative hub via the barrier.
   ASSERT_FALSE(fleet.hub().special_results().empty());
   EXPECT_EQ(fleet.hub().special_results().front().id, "sp-route");
+}
+
+core::UpdatePackage update_package(const std::string& name, char fill) {
+  core::UpdatePackage package;
+  package.name = name;
+  package.payload = std::string(4000, fill);
+  package.expected_md5 = util::Md5::hex_digest(package.payload);
+  return package;
+}
+
+TEST(ShardedFleetTest, UpdateBeaconsCrossTheDrainOnceAndWorldsReDirty) {
+  // A beacon is pushed into the station's replica mid-window and reaches
+  // the hub only if the drain visits that world. The second update lands
+  // days after the first beacon was drained, so its beacon arrives only if
+  // a drained world is marked again by its next push. The run stops before
+  // the next day's session, so no later upload can carry it instead.
+  ShardedFleet fleet{sharded_config(4, 2, 2)};
+  ASSERT_TRUE(fleet.queue_update("s1", update_package("basestation.py", 'a')));
+  fleet.run_days(3.0);
+  ASSERT_GE(fleet.hub().beacons_from("s1"), 1);
+  ASSERT_TRUE(fleet.queue_update("s1", update_package("gps.py", 'b')));
+  fleet.run_days(1.0);
+
+  EXPECT_TRUE(fleet.station(1).updates().has("basestation.py"));
+  EXPECT_TRUE(fleet.station(1).updates().has("gps.py"));
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const std::string& name = fleet.station(i).name();
+    std::int64_t on_hub = 0;
+    for (const auto& beacon : fleet.hub().beacons()) {
+      if (beacon.station == name) ++on_hub;
+    }
+    // Exactly the beacons the station sent its replica, each once.
+    EXPECT_EQ(on_hub, fleet.station_server(i).beacons_from(name)) << name;
+    EXPECT_EQ(fleet.hub().beacons_from(name), on_hub) << name;
+    if (i != 1) {
+      EXPECT_EQ(on_hub, 0) << name;
+    }
+  }
+  bool second_arrived = false;
+  for (const auto& beacon : fleet.hub().beacons()) {
+    if (beacon.beacon.name == "gps.py" && beacon.beacon.verified) {
+      second_arrived = true;
+      EXPECT_GE(beacon.at, sim::to_time(fleet.config().fleet.start) +
+                               sim::days(3.0));
+    }
+  }
+  EXPECT_TRUE(second_arrived);
+}
+
+// The hub's receipt and special-result ledgers, in arrival order. Totals
+// alone would not see two worlds drained in another order.
+std::string hub_ledger_order(std::size_t shards, unsigned workers) {
+  auto config = sharded_config(8, shards, workers);
+  config.fleet.fault_spec =
+      "gprs_outage   start=1d duration=12h severity=1.0\n"
+      "cf_write_fail start=1d duration=2d  severity=0.3\n"
+      "server_down   start=2d duration=6h\n";
+  ShardedFleet fleet{config};
+  for (const char* station : {"s2", "s5", "s7"}) {
+    core::SpecialCommand command;
+    command.id = std::string("sp-") + station;
+    command.script = "cat /proc/loadavg";
+    fleet.queue_special(station, command);
+  }
+  fleet.run_days(2.0);
+  core::SpecialCommand late;
+  late.id = "sp-late";
+  late.script = "uptime";
+  fleet.queue_special("s0", late);
+  fleet.run_days(2.0);
+
+  std::string out = "received:";
+  for (const auto& file : fleet.hub().received()) {
+    out += file.station + "," + file.name + "," +
+           std::to_string(file.received_at.millis_since_epoch()) + ";";
+  }
+  out += "|specials:";
+  for (const auto& result : fleet.hub().special_results()) {
+    out += result.id + "," +
+           std::to_string(result.executed_at.millis_since_epoch()) + ";";
+  }
+  return out;
+}
+
+TEST(ShardedFleetTest, HubLedgerOrderIsPartitionInvariant) {
+  const std::string reference = hub_ledger_order(1, 1);
+  EXPECT_NE(reference.find("sp-late"), std::string::npos) << reference;
+  EXPECT_NE(reference.find("received:s"), std::string::npos) << reference;
+  EXPECT_EQ(reference, hub_ledger_order(2, 2));
+  EXPECT_EQ(reference, hub_ledger_order(4, 3));
 }
 
 // Fingerprint for partition-invariance checks: everything a season
