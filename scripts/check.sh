@@ -9,12 +9,16 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, power_test, env_test and snapshot_test in a separate
-#      build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan), runs the
-#      fault soak and the three whole suites under it — a dangling power
-#      ledger slot or a stale environment memo after a restore fails
-#      here (docs/PERFORMANCE.md). Off by default — it is a full extra
-#      build — and gated on cmake being available;
+#      system_test, power_test, env_test, snapshot_test and station_test in
+#      a separate build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan),
+#      runs the fault soak, the three whole suites, and the fleet suites
+#      (FleetTest.*, ShardedFleetTest.*, FleetSnapshotTest.*,
+#      FleetAssembly.*) under it — a dangling power ledger slot, a stale
+#      environment memo after a restore, or a FaultOracle* / Station& the
+#      shared fleet assembly (docs/FLEET.md, "One assembly") hands to an
+#      owner that outlives it fails here (docs/PERFORMANCE.md). Off by
+#      default — it is a full extra build — and gated on cmake being
+#      available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test,
 #      sim_test, station_test and system_test in a separate build-tsan/ dir
 #      with -DGW_SANITIZE=thread and runs the Monte Carlo runner tests
@@ -99,17 +103,20 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak + power/env/snapshot suites (build-asan/)"
+    echo "== ASan+UBSan fault soak + power/env/snapshot/fleet suites (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test power_test env_test \
-         snapshot_test -j >/dev/null &&
+         snapshot_test station_test -j >/dev/null &&
        ./build-asan/tests/system_test --gtest_filter='FaultSoak.*' &&
        ./build-asan/tests/power_test &&
        ./build-asan/tests/env_test &&
-       ./build-asan/tests/snapshot_test; then
-      echo "ok: fault soak + power/env/snapshot suites clean under ASan+UBSan"
+       ./build-asan/tests/snapshot_test &&
+       ./build-asan/tests/station_test --gtest_filter='FleetTest.*:ShardedFleetTest.*:FleetSnapshotTest.*:FleetAssembly.*'
+    then
+      echo "ok: fault soak + power/env/snapshot/fleet suites clean under" \
+           "ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak or power/env/snapshot suites"
+      echo "FAIL: sanitizer fault soak or power/env/snapshot/fleet suites"
       failures=$((failures + 1))
     fi
   else

@@ -16,9 +16,7 @@
 // dGPS pair is one group). The min-rule and the group override apply only
 // within a group; an ungrouped station self-syncs (its own fresh report is
 // the only ledger entry that binds it). The fleet-wide manual override
-// still floors every station — that is the operator's big red lever. The
-// legacy no-argument query remains the fleet-wide view (min over every
-// fresh report) for pre-fleet callers.
+// still floors every station — that is the operator's big red lever.
 //
 // SyncRules is the pure logic; SyncServer is the Southampton ledger. The
 // upload/download split across the daily run (upload *before* fetching the
@@ -209,23 +207,11 @@ class SyncServer {
 
   // --- queries ------------------------------------------------------------
 
-  // Legacy fleet-wide view: the minimum over every *fresh* reported state
-  // and the fleet-wide manual override. Before any reports exist there is
-  // nothing to say. (Pre-fleet callers and diagnostics; stations use the
-  // per-station overload below.)
-  [[nodiscard]] std::optional<PowerState> override_for_client(
-      sim::SimTime now = sim::kEpoch) const {
-    std::optional<PowerState> lowest = manual_override_;
-    for (const auto& [station, entry] : latest_) {
-      fold_entry(entry, now, lowest);
-    }
-    return lowest;
-  }
-
   // The override returned to `station`: grouped stations get the min over
   // their group's fresh reports, floored by the group override; ungrouped
   // stations self-sync (only their own fresh report binds). The fleet-wide
-  // manual override applies to everyone.
+  // manual override applies to everyone. Before any reports exist there is
+  // nothing to say.
   [[nodiscard]] std::optional<PowerState> override_for_client(
       const std::string& station, sim::SimTime now = sim::kEpoch) const {
     std::optional<PowerState> lowest = manual_override_;

@@ -58,16 +58,6 @@ struct ComponentSpec {
   std::vector<ActivityState> states;
 };
 
-// Convenience spec for a plain switched load: off + one powered state.
-[[nodiscard]] inline ComponentSpec switched_load(std::string name,
-                                                util::Watts draw) {
-  ComponentSpec spec;
-  spec.name = std::move(name);
-  spec.states.push_back({"off", util::Watts{0.0}, 0.0});
-  spec.states.push_back({"on", draw, 0.0});
-  return spec;
-}
-
 class ComponentModel {
  public:
   explicit ComponentModel(ComponentSpec spec) : spec_(std::move(spec)) {
@@ -175,11 +165,6 @@ class ComponentModel {
     active_ms_.at(index) += active_ms;
   }
 
-  // Mutates the nominal draw of `index` (set_load_power compatibility).
-  void set_state_draw(std::size_t index, util::Watts draw) {
-    spec_.states.at(index).draw = draw;
-  }
-
   [[nodiscard]] MicroJoules energy_uj(std::size_t index) const {
     return energy_uj_.at(index);
   }
@@ -215,9 +200,18 @@ class ComponentModel {
     std::uint64_t activity = activity_;
     ar.value(activity);
     activity_ = std::size_t(activity);
-    // Draws are persisted (not just wiring): set_load_power may have
-    // mutated them since construction.
-    for (auto& s : spec_.states) ar.value(s.draw);
+    // Draws are wiring, fixed at construction; the bytes still carry them
+    // so a snapshot from a differently wired component is refused.
+    for (const auto& s : spec_.states) {
+      util::Watts draw = s.draw;
+      ar.value(draw);
+      if (draw.value() != s.draw.value()) {
+        throw snapshot::SnapshotError(
+            snapshot::SnapshotErrc::kStateMismatch,
+            "component " + spec_.name + " state " + s.name +
+                " draw mismatch");
+      }
+    }
     ar.value(energy_uj_);
     ar.value(active_ms_);
     ar.value(plan_anchor_);

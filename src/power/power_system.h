@@ -81,11 +81,6 @@ class PowerSystem {
     return components_.size() - 1;
   }
 
-  // Legacy wiring shim: a plain switched load is a two-state component.
-  LoadHandle add_load(std::string name, util::Watts draw_when_on) {
-    return add_component(energy::switched_load(std::move(name), draw_when_on));
-  }
-
   // Base-activity transition. While browned out only the off state is
   // reachable: anything else is refused and journalled as a dropped
   // transition rather than silently applied to the post-recovery world.
@@ -110,26 +105,6 @@ class PowerSystem {
       return;
     }
     component.set_plan(simulation_.now(), segments);
-  }
-
-  void set_load(LoadHandle handle, bool on) {
-    set_activity(handle, on ? 1 : 0);
-  }
-
-  // Legacy draw mutation (state 1 of a switched load). Like any other
-  // transition it is refused and journalled during a brown-out — the new
-  // draw must not stick to the post-recovery component.
-  void set_load_power(LoadHandle handle, util::Watts draw) {
-    energy::ComponentModel& component = components_.at(handle);
-    if (browned_out_) {
-      journal_dropped(component, component.activity());
-      return;
-    }
-    component.set_state_draw(1, draw);
-  }
-
-  [[nodiscard]] bool load_on(LoadHandle handle) const {
-    return components_.at(handle).activity() != 0;
   }
 
   // --- lifecycle ----------------------------------------------------------

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,6 +28,7 @@
 #include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
+#include "station/fleet_assembly.h"
 #include "station/probe_node.h"
 #include "station/southampton.h"
 #include "station/station.h"
@@ -95,16 +95,18 @@ class Fleet {
     return *stations_[index];
   }
   // Station by name; null when absent.
-  [[nodiscard]] Station* find_station(const std::string& name);
+  [[nodiscard]] Station* find_station(const std::string& name) {
+    const auto index = rollup_.find(name);
+    return index ? stations_[*index].get() : nullptr;
+  }
 
   // The probes served by station `index` (empty vector for probe-less
   // specs, e.g. the reference role).
-  [[nodiscard]] std::vector<std::unique_ptr<ProbeNode>>& probes(
-      std::size_t index) {
+  [[nodiscard]] ProbeList& probes(std::size_t index) {
     return probes_[index];
   }
 
-  [[nodiscard]] int probes_alive() const;
+  [[nodiscard]] int probes_alive() const { return rollup_.probes_alive(); }
 
   [[nodiscard]] sim::Simulation& simulation() { return simulation_; }
   [[nodiscard]] env::Environment& environment() { return environment_; }
@@ -119,7 +121,9 @@ class Fleet {
   // The trace-series / rng namespace of one probe under this fleet's
   // naming mode ("base/probe21" or legacy "probe21").
   [[nodiscard]] std::string probe_series_name(const std::string& station,
-                                              int probe_id) const;
+                                              int probe_id) const {
+    return assembly::probe_series_name(config_, station, probe_id);
+  }
 
   // The shared fault oracle (always present; empty plan when no fault_spec
   // was given) and its instrumentation pair — fleet-level observables the
@@ -132,28 +136,26 @@ class Fleet {
 
   // --- fleet rollup (docs/FLEET.md) --------------------------------------
 
-  // Convergence status of one sync group: converged when every member sits
-  // in the same power state right now.
-  struct GroupStatus {
-    std::string name;
-    int members = 0;
-    bool converged = false;
-    core::PowerState state = core::PowerState::kState0;  // when converged
-  };
   // Status of every sync group, in group-name order.
-  [[nodiscard]] std::vector<GroupStatus> group_status() const;
+  [[nodiscard]] std::vector<GroupStatus> group_status() const {
+    return rollup_.group_status();
+  }
 
   // Recomputes the fleet gauges (fleet.stations_total/up, groups_total/
   // converged, yield_bytes, probes_alive) into the rollup registry and
   // journals group convergence flips (kGroupDiverged / kGroupConverged)
   // since the previous refresh. Call it at whatever cadence the harness
   // samples — it draws no randomness and schedules nothing.
-  obs::MetricsRegistry& update_rollup();
+  obs::MetricsRegistry& update_rollup() {
+    return rollup_.update(server_, simulation_.now());
+  }
 
   // The rollup sinks (refreshed by update_rollup, not continuously).
-  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() { return rollup_; }
+  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() {
+    return rollup_.metrics();
+  }
   [[nodiscard]] obs::EventJournal& rollup_journal() {
-    return rollup_journal_;
+    return rollup_.journal();
   }
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
@@ -194,13 +196,9 @@ class Fleet {
   SouthamptonServer server_;
   std::vector<std::unique_ptr<Station>> stations_;
   // probes_[i] belong to stations_[i].
-  std::vector<std::vector<std::unique_ptr<ProbeNode>>> probes_;
+  std::vector<ProbeList> probes_;
   sim::Trace trace_;
-  obs::MetricsRegistry rollup_;
-  obs::EventJournal rollup_journal_;
-  // Convergence as of the last update_rollup(), per group name (absent =
-  // never observed), for flip detection.
-  std::map<std::string, bool> last_converged_;
+  FleetRollup rollup_;
   // The 30-minute trace sampler's pending event (rebuilt on restore).
   sim::EventId trace_event_ = 0;
 };

@@ -128,9 +128,7 @@ void Fleet::persist_fault_section(Archive& ar) {
 template <class Archive>
 void Fleet::persist_fleet_section(Archive& ar) {
   ar.value(trace_);
-  ar.value(rollup_);
-  ar.value(rollup_journal_);
-  ar.value(last_converged_);
+  ar.value(rollup_);  // registry, journal, convergence memory
   sim::persist_pending(ar, simulation_, trace_event_,
                        [this] { sample_trace(); });
 }

@@ -1,10 +1,9 @@
 #include "station/sharded_fleet.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
-
-#include "station/fleet_assembly.h"
 
 namespace gw::station {
 
@@ -57,23 +56,17 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   sharded_config.start = sim::to_time(fleet.start);
   sharded_ = std::make_unique<sim::ShardedSimulation>(sharded_config);
 
-  std::optional<fault::FaultPlan> plan;
-  if (!fleet.fault_spec.empty()) {
-    auto parsed = fault::FaultPlan::parse(fleet.fault_spec);
-    if (!parsed.ok()) {
-      throw std::invalid_argument("ShardedFleet: " + parsed.error().message);
-    }
-    plan = std::move(parsed.value());
-  }
+  const std::optional<fault::FaultPlan> plan =
+      assembly::parse_fault_plan(fleet, "ShardedFleet");
 
   hub_.set_received_window(fleet.server_received_window);
   hub_.set_station_queue_limit(fleet.server_station_queue_limit);
   // Hub-side anomaly journal (ingest_rejected, future_report) mirrors the
   // serial Fleet wiring; honest seasons record nothing here. The replicas
   // stay uninstrumented — their ledgers drain into the hub anyway.
-  hub_.set_hooks(obs::Hooks{&rollup_, &rollup_journal_});
+  hub_.set_hooks(rollup_.hooks());
 
-  util::Rng rng{fleet.seed};
+  const util::Rng rng{fleet.seed};
 
   // Pass 1: one world per station, on its group's shard. The replica
   // server mirrors the serial wiring (oracle, sync groups) but owns only
@@ -87,7 +80,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
                                 ? "~solo:" + spec.station.name
                                 : spec.sync_group;
     world->shard = group_slot.at(key) % shard_count;
-    world->group = spec.sync_group;
     world->environment =
         std::make_unique<env::Environment>(fleet.environment, fleet.seed);
     world->server = std::make_unique<SouthamptonServer>();
@@ -102,25 +94,17 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
           obs::Hooks{&world->fault_metrics, &world->fault_journal});
       world->server->set_fault_oracle(world->oracle.get());
     }
-    world->station = std::make_unique<Station>(
+    world->station = assembly::build_station(
         sharded_->shard(world->shard), *world->environment, *world->server,
-        rng.fork(spec.station.name), spec.station);
-    if (plan.has_value()) {
-      world->station->set_fault_oracle(world->oracle.get());
-    }
-    for (const ChargerKind kind : spec.chargers) {
-      world->station->add_charger(assembly::make_charger(kind));
-    }
-    if (!spec.sync_group.empty()) {
-      groups_[spec.sync_group].push_back(worlds_.size());
-    }
+        rng, spec, world->oracle.get());
+    rollup_.add_station(*world->station, spec.sync_group, world->probes);
     worlds_.push_back(std::move(world));
   }
 
   // Group wiring: every replica knows its whole group's membership (the
   // min-rule runs over the replica ledger), and every world lists its
   // peers for the report relay.
-  for (const auto& [group, members] : groups_) {
+  for (const auto& [group, members] : rollup_.groups()) {
     for (const std::size_t member : members) {
       World& world = *worlds_[member];
       for (const std::size_t other : members) {
@@ -132,23 +116,11 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   }
 
   // Pass 2: probes, on their station's shard and environment replica.
-  for (std::size_t s = 0; s < fleet.stations.size(); ++s) {
-    const StationSpec& spec = fleet.stations[s];
+  for (std::size_t s = 0; s < worlds_.size(); ++s) {
     World& world = *worlds_[s];
-    for (int i = 0; i < spec.probe_count; ++i) {
-      const auto& variant = assembly::probe_variant(i);
-      ProbeNodeConfig probe_config;
-      probe_config.probe_id = 20 + i;
-      probe_config.conductivity_base_us = variant.base_us;
-      probe_config.conductivity_gain_us = variant.gain_us;
-      probe_config.link_quality_factor = variant.link_quality;
-      world.probes.push_back(std::make_unique<ProbeNode>(
-          sharded_->shard(world.shard), *world.environment,
-          rng.fork(
-              probe_series_name(spec.station.name, probe_config.probe_id)),
-          probe_config));
-      world.station->add_probe(*world.probes.back());
-    }
+    world.probes = assembly::build_probes(
+        sharded_->shard(world.shard), *world.environment, rng, fleet,
+        fleet.stations[s], *world.station);
   }
 
   for (auto& world : worlds_) world->station->start();
@@ -165,27 +137,8 @@ void ShardedFleet::run_days(double days) {
   sharded_->run_until(sharded_->now() + sim::days(days));
 }
 
-Station* ShardedFleet::find_station(const std::string& name) {
-  for (auto& world : worlds_) {
-    if (world->station->name() == name) return world->station.get();
-  }
-  return nullptr;
-}
-
-int ShardedFleet::probes_alive() const {
-  int alive = 0;
-  for (const auto& world : worlds_) {
-    for (const auto& probe : world->probes) {
-      if (probe->alive()) ++alive;
-    }
-  }
-  return alive;
-}
-
 std::size_t ShardedFleet::index_of(const std::string& station_name) const {
-  for (std::size_t s = 0; s < worlds_.size(); ++s) {
-    if (worlds_[s]->station->name() == station_name) return s;
-  }
+  if (const auto index = rollup_.find(station_name)) return *index;
   throw std::invalid_argument("ShardedFleet: unknown station " +
                               station_name);
 }
@@ -224,60 +177,6 @@ void ShardedFleet::set_group_override(
   hub_.sync().set_group_override(group, override_state);
 }
 
-std::vector<Fleet::GroupStatus> ShardedFleet::group_status() const {
-  std::vector<Fleet::GroupStatus> all;
-  all.reserve(groups_.size());
-  for (const auto& [name, members] : groups_) {
-    Fleet::GroupStatus status;
-    status.name = name;
-    status.converged = true;
-    for (const std::size_t member : members) {
-      const core::PowerState state = worlds_[member]->station->current_state();
-      if (status.members == 0) {
-        status.state = state;
-      } else if (state != status.state) {
-        status.converged = false;
-      }
-      ++status.members;
-    }
-    all.push_back(std::move(status));
-  }
-  return all;
-}
-
-obs::MetricsRegistry& ShardedFleet::update_rollup() {
-  int up = 0;
-  double yield_bytes = 0.0;
-  for (const auto& world : worlds_) {
-    if (world->station->current_state() != core::PowerState::kState0) ++up;
-    yield_bytes +=
-        double(hub_.bytes_from(world->station->name()).count());
-  }
-  const auto groups = group_status();
-  int converged = 0;
-  const std::int64_t now_ms = sharded_->now().millis_since_epoch();
-  for (const auto& group : groups) {
-    if (group.converged) ++converged;
-    const auto last = last_converged_.find(group.name);
-    if (last == last_converged_.end() || last->second != group.converged) {
-      rollup_journal_.record(
-          now_ms,
-          group.converged ? obs::EventType::kGroupConverged
-                          : obs::EventType::kGroupDiverged,
-          group.name, double(group.members),
-          group.converged ? double(core::to_int(group.state)) : 0.0);
-      last_converged_[group.name] = group.converged;
-    }
-  }
-  rollup_.gauge("fleet", "stations_total").set(double(worlds_.size()));
-  rollup_.gauge("fleet", "stations_up").set(double(up));
-  rollup_.gauge("fleet", "groups_total").set(double(groups.size()));
-  rollup_.gauge("fleet", "groups_converged").set(double(converged));
-  rollup_.gauge("fleet", "yield_bytes").set(yield_bytes);
-  rollup_.gauge("fleet", "probes_alive").set(double(probes_alive()));
-  return rollup_;
-}
-
 std::vector<obs::MergedEvent> ShardedFleet::merged_journal() const {
   std::vector<std::pair<std::string, const obs::EventJournal*>> journals;
   journals.reserve(worlds_.size() * 2);
@@ -299,13 +198,6 @@ std::vector<std::string> ShardedFleet::merged_trace_series_names() const {
   }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-std::string ShardedFleet::probe_series_name(const std::string& station_name,
-                                            int probe_id) const {
-  const std::string bare = "probe" + std::to_string(probe_id);
-  return config_.fleet.station_scoped_probe_names ? station_name + "/" + bare
-                                                  : bare;
 }
 
 void ShardedFleet::drain(sim::SimTime barrier) {
@@ -368,25 +260,8 @@ void ShardedFleet::drain(sim::SimTime barrier) {
 void ShardedFleet::sample_trace(std::size_t index) {
   World& world = *worlds_[index];
   sim::Simulation& shard = sharded_->shard(world.shard);
-  const sim::SimTime now = shard.now();
-  const std::string prefix = world.station->name() + ".";
-  world.trace.add(prefix + "voltage", now,
-                  world.station->power().terminal_voltage().value());
-  world.trace.add(prefix + "state", now,
-                  double(core::to_int(world.station->current_state())));
-  world.trace.add(prefix + "soc", now,
-                  world.station->power().battery().soc());
-  for (const auto& probe : world.probes) {
-    if (!probe->alive()) continue;
-    const auto conductivity = world.environment->melt().conductivity(
-        now, world.environment->temperature(),
-        probe->config().conductivity_base_us,
-        probe->config().conductivity_gain_us);
-    world.trace.add(
-        probe_series_name(world.station->name(), probe->id()) +
-            ".conductivity",
-        now, conductivity.value());
-  }
+  assembly::sample_station(world.trace, config_.fleet, shard.now(),
+                           *world.station, world.probes, *world.environment);
   shard.schedule_in(config_.fleet.trace_interval,
                     [this, index] { sample_trace(index); });
 }

@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +47,7 @@
 #include "sim/sharded_simulation.h"
 #include "sim/trace.h"
 #include "station/fleet.h"
+#include "station/fleet_assembly.h"
 #include "station/probe_node.h"
 #include "station/southampton.h"
 #include "station/station.h"
@@ -94,13 +94,15 @@ class ShardedFleet {
   [[nodiscard]] const Station& station(std::size_t index) const {
     return *worlds_[index]->station;
   }
-  [[nodiscard]] Station* find_station(const std::string& name);
+  [[nodiscard]] Station* find_station(const std::string& name) {
+    const auto index = rollup_.find(name);
+    return index ? worlds_[*index]->station.get() : nullptr;
+  }
 
-  [[nodiscard]] std::vector<std::unique_ptr<ProbeNode>>& probes(
-      std::size_t index) {
+  [[nodiscard]] ProbeList& probes(std::size_t index) {
     return worlds_[index]->probes;
   }
-  [[nodiscard]] int probes_alive() const;
+  [[nodiscard]] int probes_alive() const { return rollup_.probes_alive(); }
 
   // --- partition ----------------------------------------------------------
 
@@ -164,12 +166,18 @@ class ShardedFleet {
   // --- fleet rollup (same gauges as Fleet::update_rollup) -----------------
 
   // gw::context(coordinator)
-  [[nodiscard]] std::vector<Fleet::GroupStatus> group_status() const;
+  [[nodiscard]] std::vector<GroupStatus> group_status() const {
+    return rollup_.group_status();
+  }
   // gw::context(coordinator)
-  obs::MetricsRegistry& update_rollup();
-  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() { return rollup_; }
+  obs::MetricsRegistry& update_rollup() {
+    return rollup_.update(hub_, sharded_->now());
+  }
+  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() {
+    return rollup_.metrics();
+  }
   [[nodiscard]] obs::EventJournal& rollup_journal() {
-    return rollup_journal_;
+    return rollup_.journal();
   }
 
   // --- merged emission (partition-invariant order) ------------------------
@@ -181,7 +189,9 @@ class ShardedFleet {
   [[nodiscard]] std::vector<std::string> merged_trace_series_names() const;
 
   [[nodiscard]] std::string probe_series_name(const std::string& station_name,
-                                              int probe_id) const;
+                                              int probe_id) const {
+    return assembly::probe_series_name(config_.fleet, station_name, probe_id);
+  }
   [[nodiscard]] std::uint64_t events_executed() const {
     return sharded_->events_executed();
   }
@@ -192,15 +202,14 @@ class ShardedFleet {
   // runs. unique_ptr-held so addresses stay stable across construction.
   struct World {
     std::size_t shard = 0;
-    std::string group;                // "" when ungrouped (self-syncing)
-    std::vector<std::size_t> peers;   // same-group worlds, excluding self
+    std::vector<std::size_t> peers;  // same-group worlds, excluding self
     std::unique_ptr<env::Environment> environment;
     obs::MetricsRegistry fault_metrics;
     obs::EventJournal fault_journal;
     std::unique_ptr<fault::FaultOracle> oracle;  // null when no fault plan
     std::unique_ptr<SouthamptonServer> server;   // the station's replica
     std::unique_ptr<Station> station;
-    std::vector<std::unique_ptr<ProbeNode>> probes;
+    ProbeList probes;
     sim::Trace trace;
     // Set by the replica's outbound pushes; the drain visits marked worlds.
     sim::DirtyMark outbox;
@@ -225,12 +234,7 @@ class ShardedFleet {
   // Appended only by the worker advancing that shard, read and cleared by
   // the drain after the pool join.
   std::vector<std::vector<std::size_t>> dirty_;
-  // Real sync groups (ungrouped stations excluded), name -> member world
-  // indices in spec order.
-  std::map<std::string, std::vector<std::size_t>> groups_;
-  obs::MetricsRegistry rollup_;
-  obs::EventJournal rollup_journal_;
-  std::map<std::string, bool> last_converged_;
+  FleetRollup rollup_;
 };
 
 }  // namespace gw::station

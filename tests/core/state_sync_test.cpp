@@ -37,24 +37,33 @@ TEST(SyncRules, VoltageZeroStillWinsOverOverride) {
             PowerState::kState0);
 }
 
-TEST(SyncServer, ReturnsLowestReportedState) {
+// The paper's dGPS pair: base and reference in one sync group.
+SyncServer paired_server() {
   SyncServer server;
+  server.assign_group("base", "pair");
+  server.assign_group("reference", "pair");
+  return server;
+}
+
+TEST(SyncServer, ReturnsLowestReportedState) {
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState3);
   server.report_state("reference", PowerState::kState2);
-  ASSERT_TRUE(server.override_for_client().has_value());
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState2);
+  ASSERT_TRUE(server.override_for_client("base").has_value());
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("reference"), PowerState::kState2);
 }
 
 TEST(SyncServer, NoReportsNoOverride) {
-  SyncServer server;
-  EXPECT_FALSE(server.override_for_client().has_value());
+  SyncServer server = paired_server();
+  EXPECT_FALSE(server.override_for_client("base").has_value());
 }
 
 TEST(SyncServer, LatestReportWins) {
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState1);
   server.report_state("base", PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState3);
   EXPECT_EQ(*server.reported_state("base"), PowerState::kState3);
   EXPECT_FALSE(server.reported_state("ghost").has_value());
 }
@@ -62,55 +71,58 @@ TEST(SyncServer, LatestReportWins) {
 TEST(SyncServer, ManualOverrideFloorsTheResult) {
   // Fig 5's observed behaviour: voltage allowed state 3 but the system "was
   // being held in state 2 by the remote override system."
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState3);
   server.report_state("reference", PowerState::kState3);
   server.set_manual_override(PowerState::kState2);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState2);
   // Released: stations converge back to 3.
   server.set_manual_override(std::nullopt);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState3);
 }
 
 TEST(SyncServer, StaleReportExpiresInsteadOfPinningTheFleet) {
   // Regression for the silent-station pinning bug: a station that browned
   // out after reporting state 1 used to hold every other station at 1
   // forever. Its report must age out of the min-rule.
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto start = sim::at_midnight(2008, 10, 1);
   server.report_state("base", PowerState::kState1, start);
   server.report_state("reference", PowerState::kState3, start);
   // Fresh: the min rule sees both.
-  EXPECT_EQ(*server.override_for_client(start), PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("reference", start),
+            PowerState::kState1);
   // The base goes silent (flat battery); the reference keeps reporting.
   const auto later = start + server.max_report_age() + sim::days(2);
   server.report_state("reference", PowerState::kState3, later);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("reference", later),
+            PowerState::kState3);
   // The silent station's last word is still on record, just not binding.
   EXPECT_EQ(*server.reported_state("base"), PowerState::kState1);
   // When it comes back, its reports count again.
   server.report_state("base", PowerState::kState2, later);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("reference", later),
+            PowerState::kState2);
 }
 
 TEST(SyncServer, AllReportsStaleMeansNothingToSay) {
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto start = sim::at_midnight(2008, 10, 1);
   server.report_state("base", PowerState::kState1, start);
   const auto later = start + server.max_report_age() + sim::days(1);
-  EXPECT_FALSE(server.override_for_client(later).has_value());
+  EXPECT_FALSE(server.override_for_client("base", later).has_value());
   // ...unless an operator override is standing: that never expires.
   server.set_manual_override(PowerState::kState2);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("base", later), PowerState::kState2);
 }
 
 TEST(SyncServer, TimestampFreeCallersStayFresh) {
   // Pre-expiry callers pass no timestamps; everything is reported and read
   // at the epoch, so nothing ever ages out and behaviour is unchanged.
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState1);
   server.report_state("reference", PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("reference"), PowerState::kState1);
 }
 
 TEST(SyncServer, MinRuleIsScopedToTheSyncGroup) {
@@ -129,8 +141,9 @@ TEST(SyncServer, MinRuleIsScopedToTheSyncGroup) {
   EXPECT_EQ(*server.override_for_client("a2"), PowerState::kState1);
   EXPECT_EQ(*server.override_for_client("b1"), PowerState::kState2);
   EXPECT_EQ(*server.override_for_client("b2"), PowerState::kState2);
-  // The legacy fleet-wide view still folds everyone.
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState1);
+  // The fleet-wide manual override still floors every group.
+  server.set_manual_override(PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("b1"), PowerState::kState1);
 }
 
 TEST(SyncServer, UngroupedStationSelfSyncs) {
@@ -354,15 +367,15 @@ TEST(SyncServer, ReportedStationsListsLedgerInNameOrder) {
 TEST(SyncServer, EndToEndKeepsStationsInLockstep) {
   // Both stations apply the min rule, so dGPS schedules match even though
   // their batteries differ.
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto base_local = PowerState::kState3;
   const auto ref_local = PowerState::kState2;
   server.report_state("base", base_local);
   server.report_state("reference", ref_local);
   const auto base_final =
-      SyncRules::apply(base_local, server.override_for_client());
+      SyncRules::apply(base_local, server.override_for_client("base"));
   const auto ref_final =
-      SyncRules::apply(ref_local, server.override_for_client());
+      SyncRules::apply(ref_local, server.override_for_client("reference"));
   EXPECT_EQ(base_final, ref_final);
   EXPECT_EQ(base_final, PowerState::kState2);
 }

@@ -9,9 +9,12 @@
 
 #include "snapshot/archive.h"
 #include "snapshot/error.h"
+#include "support/switched_load.h"
 
 namespace gw::energy {
 namespace {
+
+using test::switched_load;
 
 ComponentSpec gprs_like_spec() {
   ComponentSpec spec;
@@ -159,7 +162,6 @@ TEST(ComponentModelTest, PersistRoundTripsLedgersAndPlan) {
   model.set_plan(t0, {{2, sim::seconds(30)}, {3, sim::seconds(60)}});
   model.charge(1, 777, 1234);
   model.charge(3, 42, 10);
-  model.set_state_draw(1, util::Watts{0.6});
 
   snapshot::Saver saver;
   model.persist(saver);
@@ -171,7 +173,7 @@ TEST(ComponentModelTest, PersistRoundTripsLedgersAndPlan) {
   EXPECT_EQ(restored.energy_uj(1), 777);
   EXPECT_EQ(restored.energy_uj(3), 42);
   EXPECT_EQ(restored.active_ms(1), 1234);
-  EXPECT_EQ(restored.state(1).draw.value(), 0.6);
+  EXPECT_EQ(restored.state(1).draw.value(), 0.5);
   EXPECT_TRUE(restored.has_plan());
   EXPECT_EQ(restored.active_at(t0 + sim::seconds(45)), 3u);
   EXPECT_EQ(restored.active_at(t0 + sim::seconds(95)), 1u);
@@ -191,6 +193,25 @@ TEST(ComponentModelTest, PersistRefusesMismatchedWiring) {
   ComponentModel wrong_shape{switched_load("gprs", util::Watts{1.0})};
   snapshot::Loader by_shape{saver.bytes()};
   EXPECT_THROW(wrong_shape.persist(by_shape), snapshot::SnapshotError);
+}
+
+TEST(ComponentModelTest, PersistRefusesMismatchedDraw) {
+  // Draws are wiring: the bytes carry them only as a cross-check, so a
+  // component wired with another draw refuses the snapshot.
+  ComponentModel model{gprs_like_spec()};
+  snapshot::Saver saver;
+  model.persist(saver);
+
+  ComponentSpec rewired = gprs_like_spec();
+  rewired.states[3].draw = util::Watts{2.5};
+  ComponentModel other{rewired};
+  snapshot::Loader loader{saver.bytes()};
+  try {
+    other.persist(loader);
+    FAIL() << "a mismatched draw must be refused";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kStateMismatch);
+  }
 }
 
 }  // namespace

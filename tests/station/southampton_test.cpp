@@ -295,9 +295,12 @@ TEST(Southampton, DrainsMoveLedgersButKeepExactTotals) {
 
 TEST(Southampton, SyncLedgerAccessible) {
   SouthamptonServer server;
+  server.sync().assign_group("base", "dgps");
+  server.sync().assign_group("reference", "dgps");
   server.sync().report_state("base", core::PowerState::kState3);
   server.sync().report_state("reference", core::PowerState::kState1);
-  EXPECT_EQ(*server.sync().override_for_client(), core::PowerState::kState1);
+  EXPECT_EQ(*server.sync().override_for_client("base"),
+            core::PowerState::kState1);
 }
 
 }  // namespace

@@ -28,11 +28,16 @@ TEST(Coverage, PowerSystemVariableLoadPower) {
   env::Environment environment{1};
   power::PowerSystem power{simulation, environment,
                            power::PowerSystemConfig{}};
-  const auto modem = power.add_load("modem", 1_W);
-  power.set_load(modem, true);
+  energy::ComponentSpec spec;
+  spec.name = "modem";
+  spec.states.push_back({"off", 0_W, 0.0});
+  spec.states.push_back({"idle", 1_W, 0.0});
+  spec.states.push_back({"burst", 3_W, 0.0});
+  const auto modem = power.add_component(std::move(spec));
+  power.set_activity(modem, 1);
   power.tick(sim::hours(1));
   // Transmit burst at a higher draw.
-  power.set_load_power(modem, 3_W);
+  power.set_activity(modem, 2);
   power.tick(sim::hours(1));
   EXPECT_NEAR(power.consumed_by("modem").value(), (1.0 + 3.0) * 3600.0,
               1e-6);
@@ -116,12 +121,15 @@ TEST(Coverage, DeploymentTraceCadenceExact) {
 
 TEST(Coverage, SyncServerManyStations) {
   core::SyncServer server;
+  for (const char* station : {"a", "b", "c"}) {
+    server.assign_group(station, "trio");
+  }
   server.report_state("a", core::PowerState::kState3);
   server.report_state("b", core::PowerState::kState2);
   server.report_state("c", core::PowerState::kState1);
-  EXPECT_EQ(*server.override_for_client(), core::PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("a"), core::PowerState::kState1);
   server.report_state("c", core::PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client(), core::PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("a"), core::PowerState::kState2);
 }
 
 TEST(Coverage, TransferManagerDropResumeAccounting) {
