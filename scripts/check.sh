@@ -9,14 +9,17 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, power_test, env_test, snapshot_test and station_test in
-#      a separate build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan),
-#      runs the fault soak, the three whole suites, and the fleet suites
-#      (FleetTest.*, ShardedFleetTest.*, FleetSnapshotTest.*,
-#      FleetAssembly.*) under it — a dangling power ledger slot, a stale
-#      environment memo after a restore, or a FaultOracle* / Station& the
-#      shared fleet assembly (docs/FLEET.md, "One assembly") hands to an
-#      owner that outlives it fails here (docs/PERFORMANCE.md). Off by
+#      system_test, power_test, env_test, snapshot_test, station_test and
+#      sim_test in a separate build-asan/ dir with -DGW_SANITIZE=address
+#      (ASan+UBSan), runs the fault soak, the three whole suites, the fleet
+#      suites (FleetTest.*, ShardedFleetTest.*, FleetSnapshotTest.*,
+#      FleetAssembly.*) and the kernel suites (Simulation.*, the
+#      AdversarialSeeds/EventOrderGolden.* golden order incl. the sequence
+#      wrap, ShardedSimulation.*) under it — a dangling power ledger slot,
+#      a stale environment memo after a restore, a FaultOracle* / Station&
+#      the shared fleet assembly (docs/FLEET.md, "One assembly") hands to
+#      an owner that outlives it, or a heap node pointing at a freed slot
+#      of the one-queue kernel fails here (docs/PERFORMANCE.md). Off by
 #      default — it is a full extra build — and gated on cmake being
 #      available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test,
@@ -103,20 +106,21 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak + power/env/snapshot/fleet suites (build-asan/)"
+    echo "== ASan+UBSan fault soak + power/env/snapshot/fleet/kernel suites (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test power_test env_test \
-         snapshot_test station_test -j >/dev/null &&
+         snapshot_test station_test sim_test -j >/dev/null &&
        ./build-asan/tests/system_test --gtest_filter='FaultSoak.*' &&
        ./build-asan/tests/power_test &&
        ./build-asan/tests/env_test &&
        ./build-asan/tests/snapshot_test &&
-       ./build-asan/tests/station_test --gtest_filter='FleetTest.*:ShardedFleetTest.*:FleetSnapshotTest.*:FleetAssembly.*'
+       ./build-asan/tests/station_test --gtest_filter='FleetTest.*:ShardedFleetTest.*:FleetSnapshotTest.*:FleetAssembly.*' &&
+       ./build-asan/tests/sim_test --gtest_filter='Simulation.*:*EventOrderGolden*:ShardedSimulation.*'
     then
-      echo "ok: fault soak + power/env/snapshot/fleet suites clean under" \
-           "ASan+UBSan"
+      echo "ok: fault soak + power/env/snapshot/fleet/kernel suites clean" \
+           "under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak or power/env/snapshot/fleet suites"
+      echo "FAIL: sanitizer fault soak or power/env/snapshot/fleet/kernel suites"
       failures=$((failures + 1))
     fi
   else

@@ -158,28 +158,6 @@ class SyncServer {
     return it == group_of_.end() ? std::string{} : it->second;
   }
 
-  // Members of a group, in name order (deterministic export order).
-  [[nodiscard]] std::vector<std::string> group_members(
-      const std::string& group) const {
-    std::vector<std::string> members;
-    for (const auto& [station, g] : group_of_) {
-      if (g == group) members.push_back(station);
-    }
-    return members;
-  }
-
-  // Distinct group names, sorted.
-  [[nodiscard]] std::vector<std::string> groups() const {
-    std::vector<std::string> names;
-    for (const auto& [station, g] : group_of_) {
-      if (std::find(names.begin(), names.end(), g) == names.end()) {
-        names.push_back(g);
-      }
-    }
-    std::sort(names.begin(), names.end());
-    return names;
-  }
-
   // --- overrides ----------------------------------------------------------
 
   // Operator intervention ("easy manual overriding of the power states if

@@ -35,7 +35,6 @@ ShardedSimulation::ShardedSimulation(ShardedConfig config)
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Simulation>(config_.start));
   }
-  outboxes_.resize(1 + config_.shards);
 }
 
 void ShardedSimulation::post(std::size_t target, SimTime deliver_at,
@@ -53,27 +52,7 @@ void ShardedSimulation::post(std::size_t target, SimTime deliver_at,
   message.key = std::move(key);
   message.target = target;
   message.event_fn = std::move(fn);
-  outboxes_[0].push_back(std::move(message));
-}
-
-void ShardedSimulation::post_from(std::size_t origin, std::size_t target,
-                                  SimTime deliver_at, std::string key,
-                                  std::function<void()> fn) {
-  if (origin >= shards_.size() || target >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedSimulation: post_from with unknown shard");
-  }
-  if (deliver_at < shards_[origin]->now() + config_.lookahead) {
-    throw std::invalid_argument(
-        "ShardedSimulation: lookahead violation — a shard may not address "
-        "a time its peers could already have passed");
-  }
-  Message message;
-  message.deliver_at_ms = deliver_at.millis_since_epoch();
-  message.key = std::move(key);
-  message.target = target;
-  message.event_fn = std::move(fn);
-  outboxes_[1 + origin].push_back(std::move(message));
+  outbox_.push_back(std::move(message));
 }
 
 void ShardedSimulation::post_apply(SimTime deliver_at, std::string key,
@@ -87,45 +66,18 @@ void ShardedSimulation::post_apply(SimTime deliver_at, std::string key,
   message.deliver_at_ms = deliver_at.millis_since_epoch();
   message.key = std::move(key);
   message.apply_fn = std::move(fn);
-  outboxes_[0].push_back(std::move(message));
+  outbox_.push_back(std::move(message));
 }
 
-void ShardedSimulation::post_apply_from(std::size_t origin,
-                                        SimTime deliver_at, std::string key,
-                                        std::function<void(SimTime)> fn) {
-  if (origin >= shards_.size()) {
-    throw std::invalid_argument(
-        "ShardedSimulation: post_apply_from with unknown shard");
+void ShardedSimulation::merge_outbox() {
+  if (outbox_.empty()) return;
+  for (Message& message : outbox_) {
+    message.seq = next_seq_++;
+    ++messages_posted_;
+    auto& queue = message.event_fn ? pending_events_ : pending_applies_;
+    queue.push_back(std::move(message));
   }
-  if (deliver_at < shards_[origin]->now() + config_.lookahead) {
-    throw std::invalid_argument(
-        "ShardedSimulation: lookahead violation — a shard may not address "
-        "a time its peers could already have passed");
-  }
-  Message message;
-  message.deliver_at_ms = deliver_at.millis_since_epoch();
-  message.key = std::move(key);
-  message.apply_fn = std::move(fn);
-  outboxes_[1 + origin].push_back(std::move(message));
-}
-
-void ShardedSimulation::merge_outboxes() {
-  bool merged_any = false;
-  // Coordinator outbox first, then shards in index order. Equal
-  // (deliver_at, key) pairs originate from one component on one outbox, so
-  // this order — though partition-dependent across outboxes — never decides
-  // a tie that the sort below could observe.
-  for (auto& outbox : outboxes_) {
-    for (Message& message : outbox) {
-      message.seq = next_seq_++;
-      ++messages_posted_;
-      auto& queue = message.event_fn ? pending_events_ : pending_applies_;
-      queue.push_back(std::move(message));
-      merged_any = true;
-    }
-    outbox.clear();
-  }
-  if (!merged_any) return;
+  outbox_.clear();
   const auto order = [](const Message& a, const Message& b) {
     return std::tie(a.deliver_at_ms, a.key, a.seq) <
            std::tie(b.deliver_at_ms, b.key, b.seq);
@@ -166,7 +118,7 @@ void ShardedSimulation::run_until(SimTime deadline) {
   if (deadline < now_) {
     throw std::invalid_argument("ShardedSimulation: run_until into the past");
   }
-  merge_outboxes();
+  merge_outbox();
   while (now_ < deadline) {
     const SimTime full = now_ + config_.lookahead;
     const SimTime window_end = deadline < full ? deadline : full;
@@ -177,12 +129,9 @@ void ShardedSimulation::run_until(SimTime deadline) {
     });
     now_ = window_end;
     ++windows_run_;
-    merge_outboxes();
     apply_messages(now_);
-    if (hook_) {
-      hook_(now_);
-      merge_outboxes();
-    }
+    if (hook_) hook_(now_);
+    merge_outbox();
   }
 }
 

@@ -12,14 +12,16 @@
 // windows. A shard may therefore run ahead of the slowest shard by at most
 // one window — the conservative synchronisation bound.
 //
-// Messages come in two flavours (docs/PARALLELISM.md):
+// Messages are posted on the coordinator thread only — between runs or
+// from the barrier hook, which is where the fleet layer drains its
+// per-world ledgers — and come in two flavours (docs/PARALLELISM.md):
 //
-//   * post()/post_from(): kernel-exact events. At the barrier that opens
-//     the window containing `deliver_at`, the coordinator schedules the
-//     callback on the target shard at exactly `deliver_at`; the lookahead
-//     contract (deliver_at >= sender now + lookahead) guarantees that
-//     barrier has not yet passed. Delivery timing is therefore independent
-//     of the window grid, the shard count, and the worker count.
+//   * post(): kernel-exact events. At the barrier that opens the window
+//     containing `deliver_at`, the coordinator schedules the callback on
+//     the target shard at exactly `deliver_at`; post() requires
+//     deliver_at > now(), so that barrier has not yet passed. Delivery
+//     timing is therefore independent of the window grid, the shard count,
+//     and the worker count.
 //   * post_apply(): coordinator messages, applied single-threaded at the
 //     first barrier at or after `deliver_at` — for state that no kernel
 //     event reads (e.g. the fleet's hub server, only inspected between
@@ -41,7 +43,7 @@
 //
 // Thread-safety contract: the coordinator (the thread calling run_until)
 // owns everything between windows; during a window, the worker advancing
-// shard i may call post_from(i, ...) and touch only shard i's state. The
+// shard i touches only shard i's state and posts nothing. The
 // worker pool is the PR 3 MonteCarloRunner — its dispatch/complete
 // handshake provides the happens-before edges TSan checks.
 #pragma once
@@ -112,26 +114,12 @@ class ShardedSimulation {
   void post(std::size_t target, SimTime deliver_at, std::string key,
             std::function<void()> fn);
 
-  // Same, posted by the worker currently advancing shard `origin`;
-  // requires deliver_at >= shard(origin).now() + lookahead — the
-  // conservative contract that makes in-flight messages always land in a
-  // window that has not started. Violations throw std::invalid_argument.
-  // gw::context(worker)
-  void post_from(std::size_t origin, std::size_t target, SimTime deliver_at,
-                 std::string key, std::function<void()> fn);
-
   // Coordinator message: fn(barrier_time) runs single-threaded at the
   // first barrier at or after `deliver_at`. Coordinator context; requires
   // deliver_at > now().
   // gw::context(coordinator)
   void post_apply(SimTime deliver_at, std::string key,
                   std::function<void(SimTime)> fn);
-
-  // Worker-context variant of post_apply, posted by the worker currently
-  // advancing shard `origin`; same lookahead contract as post_from.
-  // gw::context(worker)
-  void post_apply_from(std::size_t origin, SimTime deliver_at,
-                       std::string key, std::function<void(SimTime)> fn);
 
   // --- execution ----------------------------------------------------------
 
@@ -166,14 +154,14 @@ class ShardedSimulation {
     std::string key;
     std::uint64_t seq = 0;  // merge order; assigned on the coordinator
     std::size_t target = 0;
-    std::function<void()> event_fn;          // post / post_from
+    std::function<void()> event_fn;          // post
     std::function<void(SimTime)> apply_fn;   // post_apply
   };
 
-  // Collects the coordinator and per-shard outboxes into the pending
-  // queues, assigning merge-order sequence numbers, and re-sorts them by
-  // (deliver_at, key, seq). Coordinator context only.
-  void merge_outboxes();
+  // Moves the outbox into the pending queues, assigning merge-order
+  // sequence numbers, and re-sorts them by (deliver_at, key, seq).
+  // Coordinator context only.
+  void merge_outbox();
   // Schedules every pending event with deliver_at <= window_end onto its
   // target shard, in sorted order.
   void inject_events(SimTime window_end);
@@ -185,9 +173,7 @@ class ShardedSimulation {
   std::vector<std::unique_ptr<Simulation>> shards_;
   runner::MonteCarloRunner pool_;
   std::function<void(SimTime)> hook_;
-  // Outboxes: [0] is the coordinator's, [1 + i] belongs to shard i and is
-  // written only by the worker advancing that shard within a window.
-  std::vector<std::vector<Message>> outboxes_;
+  std::vector<Message> outbox_;  // posted since the last merge
   std::vector<Message> pending_events_;
   std::vector<Message> pending_applies_;
   std::uint64_t next_seq_ = 0;

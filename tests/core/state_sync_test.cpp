@@ -208,18 +208,18 @@ TEST(SyncServer, GroupMembershipIntrospection) {
   server.assign_group("a2", "pair_a");
   server.assign_group("b1", "pair_b");
   EXPECT_EQ(server.group_of("a1"), "pair_a");
+  EXPECT_EQ(server.group_of("a2"), "pair_a");
+  EXPECT_EQ(server.group_of("b1"), "pair_b");
   EXPECT_EQ(server.group_of("ghost"), "");
-  EXPECT_EQ(server.group_members("pair_a"),
-            (std::vector<std::string>{"a1", "a2"}));
-  EXPECT_EQ(server.groups(),
-            (std::vector<std::string>{"pair_a", "pair_b"}));
-  // Reassignment moves, empty removes.
+  // Reassignment moves a station; its old group keeps the others.
   server.assign_group("a2", "pair_b");
-  EXPECT_EQ(server.group_members("pair_a"),
-            (std::vector<std::string>{"a1"}));
+  EXPECT_EQ(server.group_of("a2"), "pair_b");
+  EXPECT_EQ(server.group_of("a1"), "pair_a");
+  EXPECT_EQ(server.group_of("b1"), "pair_b");
+  // An empty name removes the station from its group.
   server.assign_group("a1", "");
   EXPECT_EQ(server.group_of("a1"), "");
-  EXPECT_TRUE(server.group_members("pair_a").empty());
+  EXPECT_EQ(server.group_of("a2"), "pair_b");
 }
 
 TEST(SyncServer, ReportLogIsOptInAndDrainsInReportOrder) {

@@ -1,16 +1,19 @@
-// Golden event-order property test for the staged event kernel.
+// Golden event-order property test for the event kernel.
 //
 // The kernel's contract is a total order — (timestamp, then scheduling
-// sequence) — that must survive any mix of staged bursts, steady-state
-// rescheduling, cancellation, and run_until checkpoints. This test replays
-// an adversarial randomized workload against both sim::Simulation and a
-// deliberately naive reference kernel (linear scan for the minimum, the
-// obviously-correct O(n^2) implementation of the same contract) and
-// requires the two execution traces to match event for event.
+// sequence) — that must survive any mix of tied bursts, steady-state
+// rescheduling, cancellation, run_until checkpoints and the wrap of the
+// kernel's 32-bit tie-break sequence. This test replays an adversarial
+// randomized workload against both sim::Simulation and a deliberately
+// naive reference kernel (linear scan for the minimum, the
+// obviously-correct O(n^2) implementation of the same contract, with a
+// 64-bit sequence that never wraps) and requires the two execution traces
+// to match event for event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -107,9 +110,9 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
   std::vector<std::uint64_t> live_ids;
   int next_label = 0;
 
-  // Self-rescheduling events exercise the staged-while-draining path: a
-  // fired event schedules a child at a deterministic offset (ties with
-  // other children are common on purpose).
+  // Self-rescheduling events exercise scheduling while draining: a fired
+  // event schedules a child at a deterministic offset (ties with other
+  // children are common on purpose).
   std::function<void(int, int)> fire_and_maybe_respawn =
       [&](int label, int respawns) {
         trace.push_back(label);
@@ -152,9 +155,23 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
   return trace;
 }
 
-std::vector<int> trace_simulation(std::uint64_t seed) {
+struct SimulationTrace {
+  std::vector<int> order;
+  std::uint32_t next_seq;  // the kernel's tie-break counter at the end
+};
+
+// `first_seq` other than 1 starts the kernel's sequence counter there
+// through the public restore protocol, so a workload started a few hundred
+// sequences below 2^32 crosses the wrap and its renumbering.
+SimulationTrace trace_simulation(std::uint64_t seed, std::uint32_t first_seq) {
   Simulation simulation{SimTime{0}};
-  return run_workload(
+  if (first_seq != 1) {
+    Simulation::KernelCheckpoint checkpoint;
+    checkpoint.next_seq = first_seq;
+    simulation.begin_restore(checkpoint);
+    simulation.finish_restore();
+  }
+  std::vector<int> order = run_workload(
       seed, simulation,
       [&](std::int64_t at, std::function<void()> fn) {
         return simulation.schedule_at(SimTime{at}, std::move(fn));
@@ -162,6 +179,7 @@ std::vector<int> trace_simulation(std::uint64_t seed) {
       [&](std::int64_t deadline) { simulation.run_until(SimTime{deadline}); },
       [&] { simulation.run_all(); },
       [&] { return simulation.now().millis_since_epoch(); });
+  return {std::move(order), simulation.checkpoint().next_seq};
 }
 
 std::vector<int> trace_reference(std::uint64_t seed) {
@@ -175,17 +193,35 @@ std::vector<int> trace_reference(std::uint64_t seed) {
       [&] { kernel.run_all(); }, [&] { return kernel.now(); });
 }
 
-class EventOrderGolden : public ::testing::TestWithParam<std::uint64_t> {};
+// One input: the workload's seed and the kernel's first tie-break
+// sequence. Printed as the seed, plus "-wrap" for a start near 2^32.
+struct GoldenInput {
+  std::uint64_t seed;
+  std::uint32_t first_seq = 1;
+};
 
-TEST_P(EventOrderGolden, MatchesReferenceKernel) {
-  const std::vector<int> expected = trace_reference(GetParam());
-  const std::vector<int> actual = trace_simulation(GetParam());
-  ASSERT_GT(expected.size(), 100u) << "workload degenerated";
-  EXPECT_EQ(actual, expected);
+std::ostream& operator<<(std::ostream& os, const GoldenInput& input) {
+  return os << input.seed << (input.first_seq == 1 ? "" : "-wrap");
 }
 
-INSTANTIATE_TEST_SUITE_P(AdversarialSeeds, EventOrderGolden,
-                         ::testing::Values(1u, 7u, 42u, 2008u, 0xabcdefu));
+class EventOrderGolden : public ::testing::TestWithParam<GoldenInput> {};
+
+TEST_P(EventOrderGolden, MatchesReferenceKernel) {
+  const GoldenInput input = GetParam();
+  const std::vector<int> expected = trace_reference(input.seed);
+  const SimulationTrace actual = trace_simulation(input.seed, input.first_seq);
+  ASSERT_GT(expected.size(), 100u) << "workload degenerated";
+  if (input.first_seq != 1) {
+    ASSERT_LT(actual.next_seq, input.first_seq) << "workload never wrapped";
+  }
+  EXPECT_EQ(actual.order, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AdversarialSeeds, EventOrderGolden,
+    ::testing::Values(GoldenInput{1}, GoldenInput{7}, GoldenInput{42},
+                      GoldenInput{2008}, GoldenInput{0xabcdef},
+                      GoldenInput{42, 0xffffffffu - 300}));
 
 }  // namespace
 }  // namespace gw::sim

@@ -2,8 +2,8 @@
 // drive the kernel with synthetic actors (no station machinery) and pin
 // the three guarantees docs/PARALLELISM.md argues for: kernel-exact
 // message delivery, partition-invariant ordering of the shared ledger,
-// and the lookahead contract (violations throw, never silently arrive
-// late).
+// and the posting contract (a message addressed to a barrier already
+// reached throws, never silently arrives late).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,42 +35,65 @@ ShardedConfig make_config(std::size_t shards, unsigned workers,
 }
 
 // A synthetic fleet: `actors` periodic processes, actor a on shard
-// a % shards, each appending to a shared ledger via post_apply and to a
-// sibling's private inbox via kernel-exact post_from. The rendered ledger
-// must not depend on the partition.
+// a % shards. Each tick records an intent in its shard's own list (the
+// only state a worker touches); the barrier hook drains every list and
+// posts, per intent, a shared-ledger entry via post_apply and a message to
+// a sibling's private inbox via kernel-exact post — the way ShardedFleet
+// drains its worlds. The rendered ledger must not depend on the partition.
 struct Harness {
+  struct Intent {
+    SimTime deliver;
+    std::size_t actor;
+    int tick;
+  };
+
   explicit Harness(std::size_t shards, unsigned workers, std::size_t actors)
-      : sharded(make_config(shards, workers)), inboxes(actors) {
+      : sharded(make_config(shards, workers)),
+        intents(sharded.shard_count()),
+        inboxes(actors) {
     for (std::size_t a = 0; a < actors; ++a) {
       const std::size_t shard = a % sharded.shard_count();
       schedule_tick(a, shard, 0);
     }
+    sharded.set_barrier_hook([this](SimTime) { post_intents(); });
   }
 
   void schedule_tick(std::size_t actor, std::size_t shard, int tick) {
-    // Staggered periods so actors collide at some timestamps (tick 0 of
-    // everyone, and various resonances) — the interesting ordering cases.
+    // Staggered periods so several actors' ticks fall in one window and
+    // their messages merge at the same barrier — the interesting ordering
+    // cases. The whole-second offsets keep every tick off the
+    // whole-minute barriers, so tick + lookahead always lies past the
+    // barrier that drains it.
     const Duration period = sim::minutes(7 + double(actor));
     sharded.shard(shard).schedule_at(
-        kStart + period * tick + sim::seconds(double(actor)),
+        kStart + period * tick + sim::seconds(double(actor + 1)),
         [this, actor, shard, tick] {
           const SimTime now = sharded.shard(shard).now();
-          const std::size_t peer = (actor + 1) % inboxes.size();
-          const std::size_t peer_shard = peer % sharded.shard_count();
-          const SimTime deliver = now + sharded.lookahead();
-          sharded.post_from(shard, peer_shard, deliver,
-                            "actor" + std::to_string(actor),
-                            [this, peer, actor, deliver] {
-                              inboxes[peer].push_back(
-                                  {deliver.millis_since_epoch(), actor});
-                            });
-          sharded.post_apply_from(
-              shard, deliver, "actor" + std::to_string(actor),
-              [this, actor, tick](SimTime) {
-                ledger.push_back({actor, tick});
-              });
+          intents[shard].push_back({now + sharded.lookahead(), actor, tick});
           if (tick < 20) schedule_tick(actor, shard, tick + 1);
         });
+  }
+
+  void post_intents() {
+    for (auto& list : intents) {
+      for (const Intent& intent : list) {
+        const std::size_t actor = intent.actor;
+        const std::size_t peer = (actor + 1) % inboxes.size();
+        const SimTime deliver = intent.deliver;
+        const int tick = intent.tick;
+        sharded.post(peer % sharded.shard_count(), deliver,
+                     "actor" + std::to_string(actor),
+                     [this, peer, actor, deliver] {
+                       inboxes[peer].push_back(
+                           {deliver.millis_since_epoch(), actor});
+                     });
+        sharded.post_apply(deliver, "actor" + std::to_string(actor),
+                           [this, actor, tick](SimTime) {
+                             ledger.push_back({actor, tick});
+                           });
+      }
+      list.clear();
+    }
   }
 
   [[nodiscard]] std::string render() const {
@@ -89,6 +112,7 @@ struct Harness {
   }
 
   ShardedSimulation sharded;
+  std::vector<std::vector<Intent>> intents;  // one list per shard
   std::vector<std::pair<std::size_t, int>> ledger;
   std::vector<std::vector<std::pair<std::int64_t, std::size_t>>> inboxes;
 };
@@ -123,8 +147,8 @@ TEST(ShardedSimulation, DeadlinePatternDoesNotChangeDelivery) {
 TEST(ShardedSimulation, MessagesDeliverAtExactlyTheirTimestamp) {
   ShardedSimulation sharded{make_config(2, 2, sim::minutes(1))};
   // Shard 1 logs its clock around the delivery instant; the message (sent
-  // from shard 0, landing mid-window on shard 1) must interleave exactly
-  // at its timestamp, not at a barrier.
+  // by shard 0 through the barrier hook, landing mid-window on shard 1)
+  // must interleave exactly at its timestamp, not at a barrier.
   std::vector<std::int64_t> observed;
   const SimTime send_at = kStart + sim::seconds(30);
   const SimTime deliver_at = send_at + sim::minutes(1);
@@ -135,8 +159,12 @@ TEST(ShardedSimulation, MessagesDeliverAtExactlyTheirTimestamp) {
     });
   }
   bool delivered = false;
-  sharded.shard(0).schedule_at(send_at, [&] {
-    sharded.post_from(0, 1, deliver_at, "probe", [&observed, &delivered] {
+  bool sent = false;
+  sharded.shard(0).schedule_at(send_at, [&sent] { sent = true; });
+  sharded.set_barrier_hook([&](SimTime) {
+    if (!sent) return;
+    sent = false;
+    sharded.post(1, deliver_at, "probe", [&observed, &delivered] {
       delivered = true;
       observed.push_back(-1);  // marks the delivery slot
     });
@@ -159,16 +187,7 @@ TEST(ShardedSimulation, MessagesDeliverAtExactlyTheirTimestamp) {
 
 TEST(ShardedSimulation, LookaheadViolationsThrow) {
   ShardedSimulation sharded{make_config(2, 1, sim::minutes(5))};
-  bool threw = false;
-  sharded.shard(0).schedule_at(kStart + sim::minutes(1), [&] {
-    try {
-      sharded.post_from(0, 1, kStart + sim::minutes(2), "cheater", [] {});
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-  });
   sharded.run_until(kStart + sim::minutes(10));
-  EXPECT_TRUE(threw);
 
   // Coordinator posts must land strictly after the current barrier.
   EXPECT_THROW(sharded.post(0, sharded.now(), "late", [] {}),

@@ -589,8 +589,8 @@ void check_thread_context(const std::vector<FileIndex>& index,
           "thread-context",
           "'" + display_name(fn) + "' runs in worker context but calls "
           "coordinator-only '" + call.name +
-              "()'; route cross-shard work through post_from/"
-              "post_apply_from or a barrier hook (docs/PARALLELISM.md)");
+              "()'; record the intent shard-locally and post it "
+              "through a barrier hook (docs/PARALLELISM.md)");
     }
   }
 }
