@@ -2,11 +2,13 @@
 //
 // Every reproduced figure is a Monte Carlo sweep over the event kernel, so
 // kernel events/sec and runner trials/sec are the two numbers that bound
-// how much design-space exploration a PR can afford. This bench measures
-// both — the staged event kernel on a schedule/drain workload, and
+// how much design-space exploration a change can afford. This bench
+// measures both — the event kernel (heap plus delay lanes) on a
+// schedule-then-drain burst of random timestamps, a shape with no
+// recurring delay, so nearly every node goes through the heap; and
 // MonteCarloRunner scaling on isolated probe-survival worlds — and exports
 // BENCH_throughput.json (schema glacsweb.bench.v1) so the perf trajectory
-// accumulates PR over PR.
+// accumulates change over change.
 //
 // Unlike every other bench export, these numbers are wall-clock
 // measurements: the JSON is *not* byte-stable across runs or hosts (meta

@@ -18,8 +18,8 @@
 #      wrap, ShardedSimulation.*) under it — a dangling power ledger slot,
 #      a stale environment memo after a restore, a FaultOracle* / Station&
 #      the shared fleet assembly (docs/FLEET.md, "One assembly") hands to
-#      an owner that outlives it, or a heap node pointing at a freed slot
-#      of the one-queue kernel fails here (docs/PERFORMANCE.md). Off by
+#      an owner that outlives it, or a heap or delay-lane node pointing at
+#      a freed slot of the kernel fails here (docs/PERFORMANCE.md). Off by
 #      default — it is a full extra build — and gated on cmake being
 #      available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test,
@@ -30,12 +30,19 @@
 #      (ShardedFleetTest.*, ShardedDeterminism.*: the per-shard dirty
 #      lists workers fill and the barrier drain reads) under TSan. Off by
 #      default for the same reason as the ASan leg;
-#   5. performance bench export: when build/bench/bench_throughput and
-#      build/bench/bench_microbench exist (i.e. the default build has run),
-#      runs them and leaves machine-readable results in the repo root as
-#      BENCH_throughput.json (schema glacsweb.bench.v1) and
-#      BENCH_microbench_raw.json (google-benchmark JSON). Skipped when the
-#      binaries are absent; disable explicitly with GW_CHECK_BENCH=0;
+#   5. performance bench export and perfbench digest smoke: when
+#      build/bench/bench_throughput and build/bench/bench_microbench exist
+#      (i.e. the default build has run), runs them and leaves
+#      machine-readable results in the repo root as BENCH_throughput.json
+#      (schema glacsweb.bench.v1) and BENCH_microbench_raw.json
+#      (google-benchmark JSON). Then, when python3 and cmake are installed,
+#      runs `python3 perfbench/run.py --workload <w> --seconds 1` for
+#      season, big_fleet and fork_campaign (the first run builds the
+#      driver under .bench_build/) and fails unless each result line
+#      reads "correct": true — a kernel or model change that moves a
+#      pinned perfbench digest (event count, snapshot fingerprint) fails
+#      here. Skipped when the tools are absent; disable both halves with
+#      GW_CHECK_BENCH=0;
 #   6. fleet determinism gate: when build/bench/bench_fleet_scale exists,
 #      runs the sweep three times — GW_BENCH_THREADS=1, one shard
 #      (GW_BENCH_FLEET_SHARDS=1), and the defaults — and byte-diffs the
@@ -154,7 +161,7 @@ else
   echo "skip: TSan runner tests (set GW_CHECK_TSAN=1 to enable)"
 fi
 
-# --- 5. performance bench export ------------------------------------------
+# --- 5. performance bench export + perfbench digest smoke -----------------
 if [ "${GW_CHECK_BENCH:-1}" = "1" ]; then
   if [ -x build/bench/bench_throughput ] &&
      [ -x build/bench/bench_microbench ]; then
@@ -170,8 +177,27 @@ if [ "${GW_CHECK_BENCH:-1}" = "1" ]; then
   else
     echo "skip: bench binaries not built (build the default tree first)"
   fi
+  if command -v python3 >/dev/null 2>&1 && command -v cmake >/dev/null 2>&1
+  then
+    echo "== perfbench digest smoke (season, big_fleet, fork_campaign)"
+    smoke_log="$(mktemp)"
+    for workload in season big_fleet fork_campaign; do
+      result=$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+                 2>"$smoke_log" | tail -n 1)
+      if printf '%s\n' "$result" | grep -q '"correct": true'; then
+        echo "ok: perfbench $workload correct (pinned digests hold)"
+      else
+        tail -n 20 "$smoke_log"
+        echo "FAIL: perfbench $workload: ${result:-no result line}"
+        failures=$((failures + 1))
+      fi
+    done
+    rm -f "$smoke_log"
+  else
+    echo "skip: perfbench digest smoke (needs python3 and cmake)"
+  fi
 else
-  echo "skip: bench export (GW_CHECK_BENCH=0)"
+  echo "skip: bench export and perfbench smoke (GW_CHECK_BENCH=0)"
 fi
 
 # --- 6. fleet determinism gate --------------------------------------------

@@ -7,25 +7,34 @@
 // (a monotonic sequence number breaks ties), so runs are bit-reproducible.
 //
 // Hot-path design (docs/PERFORMANCE.md):
-//   * one pending-event queue: a 4-ary implicit heap of 16-byte POD nodes
-//     (time, sequence, slot index). schedule_at() is an O(log n) push,
-//     step() an O(log n) pop, and the executed order is the exact
-//     (timestamp, sequence) total order. The traffic is periodic (a
-//     station-day is ~1440 self-rescheduling power ticks), so the heap
-//     stays a few nodes deep per station;
+//   * pending events are 16-byte POD nodes (time, sequence, slot index)
+//     held in two kinds of queue. Most of the traffic is periodic (a
+//     station-day is ~1440 self-rescheduling 60 s power ticks), so
+//     schedule_at() first offers a node to one of kLanes FIFO *delay
+//     lanes*: the lane bound to its delay (at - now), or an empty lane,
+//     which it binds. Because now() never decreases and sequences only
+//     grow, every lane is already sorted by (time, sequence), so a lane
+//     push and pop are O(1). A node whose delay has no lane goes to a
+//     4-ary implicit heap (O(log n) push and pop), as do the rebuilt
+//     events of a snapshot restore. step() runs the earliest of the heap
+//     top and the lane heads, so the executed order is the exact
+//     (timestamp, sequence) total order; a lane is unbound when it drains;
 //   * callbacks are InlineCallback (48-byte small-buffer storage, no
 //     per-event allocation for the lambdas this repo schedules), built
 //     in place in a chunked slot slab whose addresses never move — so an
 //     event is invoked directly from its slot, not copied out first;
 //   * cancellation is a generation-checked tombstone: cancel() flips the
-//     slot state in O(1) and the dead node is skipped when it surfaces —
-//     no hash probe per executed event, and pending() is an exact counter
-//     (cancelling unknown or already-fired ids no longer distorts it).
+//     slot state in O(1) and the dead node, in the heap or in a lane, is
+//     skipped when it surfaces — no hash probe per executed event, and
+//     pending() is an exact counter (cancelling unknown or already-fired
+//     ids no longer distorts it).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -56,7 +65,11 @@ class Simulation {
   EventId schedule_at(SimTime at, F&& fn) {
     if (at < now_) throw std::invalid_argument("schedule_at in the past");
     if (next_seq_ == kMaxSeq) renumber_sequences();
-    return enqueue(at.millis_since_epoch(), next_seq_++, std::forward<F>(fn));
+    const std::int64_t at_ms = at.millis_since_epoch();
+    const EventId id = emplace(std::forward<F>(fn));
+    push_node(Node{at_ms, next_seq_++, slot_of(id)},
+              at_ms - now_.millis_since_epoch());
+    return id;
   }
 
   template <typename F>
@@ -68,7 +81,7 @@ class Simulation {
   // no-op (matches how embedded timers behave). O(1): the queued node
   // becomes a tombstone discarded when it reaches the head.
   void cancel(EventId id) {
-    const auto index = static_cast<std::uint32_t>(id >> 32);
+    const std::uint32_t index = slot_of(id);
     const auto generation = static_cast<std::uint32_t>(id);
     if (index >= slot_count_) return;
     Slot& slot = slot_at(index);
@@ -88,25 +101,9 @@ class Simulation {
 
   // Runs the next event, if any; returns false when the queue is exhausted.
   bool step() {
-    while (!heap_.empty()) {
-      const HeapNode node = heap_pop();
-      Slot& slot = slot_at(node.slot);
-      if (slot.state == SlotState::kCancelled) {
-        free_slot(node.slot, slot);
-        continue;
-      }
-      now_ = SimTime{node.at_ms};
-      ++events_executed_;
-      --live_count_;
-      // Mark free *before* invoking so a self-cancel is a no-op, but keep
-      // the slot off the free list until after: the callback may schedule
-      // (slot addresses are chunk-stable, so `slot` stays valid) and must
-      // not be handed its own still-occupied slot.
-      slot.state = SlotState::kFree;
-      slot.fn.invoke_and_reset();
-      slot.next_free = free_head_;
-      free_head_ = node.slot;
-      return true;
+    Node node{};
+    while (pop_earliest(kNever, node)) {
+      if (dispatch(node)) return true;
     }
     return false;
   }
@@ -114,12 +111,8 @@ class Simulation {
   // Runs every event with timestamp <= deadline, then advances the clock to
   // the deadline (even if the queue went quiet earlier).
   void run_until(SimTime deadline) {
-    const std::int64_t deadline_ms = deadline.millis_since_epoch();
-    while (true) {
-      purge_cancelled_head();
-      if (heap_.empty() || heap_.front().at_ms > deadline_ms) break;
-      step();
-    }
+    Node node{};
+    while (pop_earliest(deadline.millis_since_epoch(), node)) dispatch(node);
     if (now_ < deadline) now_ = deadline;
   }
 
@@ -172,17 +165,18 @@ class Simulation {
   // scan — this runs at save time only, never on the hot path.
   [[nodiscard]] std::optional<std::pair<std::int64_t, std::uint32_t>>
   pending_key(EventId id) const {
-    const auto index = static_cast<std::uint32_t>(id >> 32);
+    const std::uint32_t index = slot_of(id);
     const auto generation = static_cast<std::uint32_t>(id);
     if (index >= slot_count_) return std::nullopt;
     const Slot& slot = chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
     if (slot.state != SlotState::kPending || slot.generation != generation) {
       return std::nullopt;
     }
-    for (const HeapNode& node : heap_) {
-      if (node.slot == index) return std::make_pair(node.at_ms, node.seq);
-    }
-    return std::nullopt;
+    std::optional<std::pair<std::int64_t, std::uint32_t>> key;
+    for_each_node(*this, [&](const Node& node) {
+      if (node.slot == index) key = std::make_pair(node.at_ms, node.seq);
+    });
+    return key;
   }
 
   // Restore protocol: begin_restore() wipes the queue and pins the clock,
@@ -192,6 +186,7 @@ class Simulation {
   // construction are simply overwritten — never cancel() them.
   void begin_restore(const KernelCheckpoint& ckpt) {
     heap_.clear();
+    for (Lane& lane : lanes_) lane.head = lane.size = 0;
     chunks_.clear();
     slot_count_ = 0;
     free_head_ = kNoSlot;
@@ -203,7 +198,8 @@ class Simulation {
   }
 
   // Re-registers one saved event under its exact saved key. Components
-  // rebuild in section order, not sequence order; the heap orders them.
+  // rebuild in section order, not sequence order, so the keys arrive
+  // unsorted and always go to the heap, which orders them.
   template <typename F>
   EventId schedule_rebuilt(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
     if (!restoring_) {
@@ -218,7 +214,9 @@ class Simulation {
               std::to_string(seq) + ") outside the checkpoint's horizon",
           "kernel");
     }
-    return enqueue(at_ms, seq, std::forward<F>(fn));
+    const EventId id = emplace(std::forward<F>(fn));
+    heap_push(Node{at_ms, seq, slot_of(id)});
+    return id;
   }
 
   void finish_restore() {
@@ -249,14 +247,51 @@ class Simulation {
     SlotState state = SlotState::kFree;
   };
 
-  // POD queue node; sift operations shuffle these 16 bytes, never
-  // callbacks. `seq` is a 32-bit rolling tie-breaker: when it would wrap,
-  // every pending node is renumbered in place, preserving the exact
+  // POD queue node; sift operations and lane pushes move these 16 bytes,
+  // never callbacks. `seq` is a 32-bit rolling tie-breaker: when it would
+  // wrap, every pending node is renumbered in place, preserving the exact
   // (time, scheduling-order) relation — see renumber_sequences().
-  struct HeapNode {
+  struct Node {
     std::int64_t at_ms;
     std::uint32_t seq;
     std::uint32_t slot;
+  };
+
+  // A delay lane: a FIFO ring (power-of-two capacity) of the nodes
+  // scheduled `delay_ms` after the then-current time, in scheduling order,
+  // which is (time, seq) order. Bound while it holds a node; the ring's
+  // capacity is kept when it drains and rebinds.
+  struct Lane {
+    std::vector<Node> ring;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+    std::int64_t delay_ms = 0;
+
+    [[nodiscard]] std::uint32_t mask() const {
+      return static_cast<std::uint32_t>(ring.size() - 1);
+    }
+    [[nodiscard]] Node& at(std::uint32_t i) {
+      return ring[(head + i) & mask()];
+    }
+    [[nodiscard]] const Node& front() const { return ring[head]; }
+
+    void push(const Node& node) {
+      if (size == ring.size()) {
+        // Grow to twice the capacity, unrolling the ring to start at 0.
+        std::vector<Node> grown(ring.empty() ? 8 : 2 * ring.size());
+        for (std::uint32_t i = 0; i < size; ++i) grown[i] = at(i);
+        ring = std::move(grown);
+        head = 0;
+      }
+      at(size++) = node;
+    }
+
+    Node pop() {
+      const Node node = ring[head];
+      head = (head + 1) & mask();
+      if (--size == 0) head = 0;  // drained: the lane is unbound
+      return node;
+    }
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -265,22 +300,108 @@ class Simulation {
   // until the Simulation dies, so Slot& stays valid across callbacks.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  // Lane count: a station's periodic delays (60 s tick, 30 min sample,
+  // 1 h) plus one lane that rebinds among the rarer delays.
+  static constexpr std::size_t kLanes = 4;
+  // step()'s deadline: later than any event.
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
 
-  static bool earlier(const HeapNode& a, const HeapNode& b) {
+  static bool earlier(const Node& a, const Node& b) {
     if (a.at_ms != b.at_ms) return a.at_ms < b.at_ms;
     return a.seq < b.seq;
   }
 
-  // Builds `fn` in a fresh slot and pushes its node under key (at_ms, seq).
+  // Builds `fn` in a fresh pending slot and returns the event's id; the
+  // caller queues a node for slot_of(id).
   template <typename F>
-  EventId enqueue(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
+  EventId emplace(F&& fn) {
     const std::uint32_t index = acquire_slot();
     Slot& slot = slot_at(index);
     slot.fn.emplace(std::forward<F>(fn));
     slot.state = SlotState::kPending;
-    heap_push(HeapNode{at_ms, seq, index});
     ++live_count_;
     return (std::uint64_t{index} << 32) | slot.generation;
+  }
+
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id >> 32);
+  }
+
+  // Queues `node`, scheduled `delay_ms` from now: in the lane bound to that
+  // delay, else in an empty lane it binds, else in the heap.
+  void push_node(const Node& node, std::int64_t delay_ms) {
+    Lane* empty = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.size == 0) {
+        if (empty == nullptr) empty = &lane;
+      } else if (lane.delay_ms == delay_ms) {
+        lane.push(node);
+        return;
+      }
+    }
+    if (empty == nullptr) {
+      heap_push(node);
+      return;
+    }
+    empty->delay_ms = delay_ms;
+    empty->push(node);
+  }
+
+  // Pops the earliest queued node (live or tombstone) — the smaller of the
+  // heap top and the lane heads — into `out`, unless every queue is empty
+  // or that node is due after `deadline_ms`.
+  bool pop_earliest(std::int64_t deadline_ms, Node& out) {
+    Lane* first = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.size != 0 &&
+          (first == nullptr || earlier(lane.front(), first->front()))) {
+        first = &lane;
+      }
+    }
+    if (!heap_.empty() &&
+        (first == nullptr || earlier(heap_.front(), first->front()))) {
+      if (heap_.front().at_ms > deadline_ms) return false;
+      out = heap_pop();
+      return true;
+    }
+    if (first == nullptr || first->front().at_ms > deadline_ms) return false;
+    out = first->pop();
+    return true;
+  }
+
+  // Runs a popped node's event, or frees its slot if it is a tombstone;
+  // returns whether an event ran.
+  bool dispatch(const Node& node) {
+    Slot& slot = slot_at(node.slot);
+    if (slot.state == SlotState::kCancelled) {
+      free_slot(node.slot, slot);
+      return false;
+    }
+    now_ = SimTime{node.at_ms};
+    ++events_executed_;
+    --live_count_;
+    // Mark free *before* invoking so a self-cancel is a no-op, but keep
+    // the slot off the free list until after: the callback may schedule
+    // (slot addresses are chunk-stable, so `slot` stays valid) and must
+    // not be handed its own still-occupied slot.
+    slot.state = SlotState::kFree;
+    slot.fn.invoke_and_reset();
+    slot.next_free = free_head_;
+    free_head_ = node.slot;
+    return true;
+  }
+
+  // Visits every queued node of `self` (a Simulation, const or not), heap
+  // first, then each lane head to tail.
+  template <typename Self, typename Visit>
+  static void for_each_node(Self& self, Visit&& visit) {
+    for (auto& node : self.heap_) visit(node);
+    for (auto& lane : self.lanes_) {
+      for (std::uint32_t i = 0; i < lane.size; ++i) {
+        visit(lane.ring[(lane.head + i) & lane.mask()]);
+      }
+    }
   }
 
   [[nodiscard]] Slot& slot_at(std::uint32_t index) {
@@ -310,7 +431,7 @@ class Simulation {
   // 4-ary implicit heap: hole-based sift (the inserted/last node is held in
   // a register and written once), half the levels of a binary heap, and the
   // four children of a node share at most two cache lines.
-  void heap_push(HeapNode node) {
+  void heap_push(Node node) {
     std::size_t child = heap_.size();
     heap_.push_back(node);  // reserve the space; value overwritten below
     while (child > 0) {
@@ -322,9 +443,9 @@ class Simulation {
     heap_[child] = node;
   }
 
-  HeapNode heap_pop() {
-    const HeapNode top = heap_.front();
-    const HeapNode last = heap_.back();
+  Node heap_pop() {
+    const Node top = heap_.front();
+    const Node last = heap_.back();
     heap_.pop_back();
     const std::size_t size = heap_.size();
     if (size != 0) {
@@ -346,25 +467,20 @@ class Simulation {
     return top;
   }
 
-  // Drops tombstones sitting at the head so the earliest visible node is a
-  // live event (run_until's deadline check relies on this).
-  void purge_cancelled_head() {
-    while (!heap_.empty()) {
-      Slot& slot = slot_at(heap_.front().slot);
-      if (slot.state != SlotState::kCancelled) break;
-      free_slot(heap_.front().slot, slot);
-      heap_pop();
-    }
-  }
-
-  // Re-packs every pending node's tie-break sequence number into 1..n.
-  // Sorting the heap array by (time, seq) preserves the exact execution
-  // order, and a sorted array is a valid d-ary min-heap, so determinism is
-  // unaffected. Amortized cost ~0: once every 2^32 - 1 scheduled events.
+  // Re-packs every pending node's tie-break sequence number into 1..n, in
+  // one global (time, seq) order over the heap and the lanes. The mapping
+  // is strictly order-preserving, so the heap stays a valid heap, every
+  // lane stays sorted and the execution order is unchanged. Amortized cost
+  // ~0: once every 2^32 - 1 scheduled events.
   void renumber_sequences() {
-    std::sort(heap_.begin(), heap_.end(), earlier);
+    std::vector<Node*> nodes;
+    for_each_node(*this, [&](Node& node) { nodes.push_back(&node); });
+    std::sort(nodes.begin(), nodes.end(),
+              [](const Node* a, const Node* b) {
+                return earlier(*a, *b);
+              });
     std::uint32_t seq = 1;
-    for (HeapNode& node : heap_) node.seq = seq++;
+    for (Node* node : nodes) node->seq = seq++;
     next_seq_ = seq;
   }
 
@@ -372,7 +488,8 @@ class Simulation {
   std::uint32_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<HeapNode> heap_;  // the pending-event queue (4-ary heap)
+  std::vector<Node> heap_;  // pending nodes without a lane (4-ary heap)
+  std::array<Lane, kLanes> lanes_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;

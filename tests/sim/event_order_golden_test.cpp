@@ -3,17 +3,20 @@
 // The kernel's contract is a total order — (timestamp, then scheduling
 // sequence) — that must survive any mix of tied bursts, steady-state
 // rescheduling, cancellation, run_until checkpoints and the wrap of the
-// kernel's 32-bit tie-break sequence. This test replays an adversarial
-// randomized workload against both sim::Simulation and a deliberately
-// naive reference kernel (linear scan for the minimum, the
-// obviously-correct O(n^2) implementation of the same contract, with a
-// 64-bit sequence that never wraps) and requires the two execution traces
-// to match event for event.
+// kernel's 32-bit tie-break sequence, whether an event sits in the heap or
+// in a delay lane. This test replays two seeded workloads — adversarial
+// bursts, and periodic streams that bind, drain and rebind the lanes —
+// against both sim::Simulation and a deliberately naive reference kernel
+// (linear scan for the minimum, the obviously-correct O(n^2)
+// implementation of the same contract, with a 64-bit sequence that never
+// wraps) and requires the two execution traces to match event for event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -101,10 +104,10 @@ class ReferenceKernel {
 // the order the kernel fires events in — which is exactly what the trace
 // records.
 template <typename Kernel, typename ScheduleAt, typename RunUntil>
-std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
-                              ScheduleAt schedule_at, RunUntil run_until,
-                              std::function<void()> run_all,
-                              std::function<std::int64_t()> now) {
+std::vector<int> run_bursts(std::uint64_t seed, Kernel& kernel,
+                            ScheduleAt schedule_at, RunUntil run_until,
+                            std::function<void()> run_all,
+                            std::function<std::int64_t()> now) {
   util::Rng rng{seed};
   std::vector<int> trace;
   std::vector<std::uint64_t> live_ids;
@@ -155,24 +158,112 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
   return trace;
 }
 
+// Periodic streams, the station's traffic shape: each stream reschedules
+// itself a fixed period after it fires. Most streams share the first
+// period, as power ticks do; the periods plus the start offsets are many
+// more distinct delays than the kernel has lanes, and the rare-period
+// streams are short-lived, so lanes bind, drain and rebind all run long.
+// Every start and period is a multiple of 5, so events tie across streams
+// and across queues all the time. Cancelling a stream's pending event
+// (which sits in a lane when its delay has one) ends the stream.
+template <typename Kernel, typename ScheduleAt, typename RunUntil>
+std::vector<int> run_periodic(std::uint64_t seed, Kernel& kernel,
+                              ScheduleAt schedule_at, RunUntil run_until,
+                              std::function<void()> run_all,
+                              std::function<std::int64_t()> now) {
+  constexpr std::int64_t kPeriods[] = {60, 60, 60, 60, 1800, 3600,
+                                       5,  15, 250, 10, 90,   60};
+  struct Stream {
+    std::int64_t period;
+    int remaining;
+    std::uint64_t id;
+  };
+  util::Rng rng{seed};
+  std::vector<int> trace;
+  std::vector<Stream> streams;
+
+  std::function<void(std::size_t)> fire = [&](std::size_t index) {
+    trace.push_back(int(index));
+    Stream& stream = streams[index];
+    if (--stream.remaining > 0) {
+      stream.id = schedule_at(now() + stream.period,
+                              [&fire, index] { fire(index); });
+    }
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    const int starts = 2 + int(rng.uniform_index(4));
+    for (int i = 0; i < starts; ++i) {
+      const std::int64_t period =
+          kPeriods[rng.uniform_index(std::size(kPeriods))];
+      const int lifetime = period == 60 ? 200 : 1 + int(rng.uniform_index(12));
+      const std::size_t index = streams.size();
+      streams.push_back(Stream{period, lifetime, 0});
+      const std::int64_t start =
+          (now() / 5 + 1 + std::int64_t(rng.uniform_index(12))) * 5;
+      streams[index].id =
+          schedule_at(start, [&fire, index] { fire(index); });
+    }
+    const int cancels = int(rng.uniform_index(3));
+    for (int i = 0; i < cancels; ++i) {
+      kernel.cancel(streams[rng.uniform_index(streams.size())].id);
+    }
+    if (rng.bernoulli(0.1)) {
+      run_until(now() + 4000);
+    } else {
+      run_until(now() + std::int64_t(rng.uniform_index(400)));
+    }
+  }
+  run_all();
+  return trace;
+}
+
+// One input: the workload, its seed and the kernel's first tie-break
+// sequence. Printed as the seed, "-periodic" for the periodic streams and
+// "-wrap" for a start near 2^32.
+struct GoldenInput {
+  std::uint64_t seed;
+  std::uint32_t first_seq = 1;
+  bool periodic = false;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenInput& input) {
+  return os << input.seed << (input.periodic ? "-periodic" : "")
+            << (input.first_seq == 1 ? "" : "-wrap");
+}
+
+// Runs the input's workload on `kernel`.
+template <typename Kernel, typename ScheduleAt, typename RunUntil>
+std::vector<int> run_workload(const GoldenInput& input, Kernel& kernel,
+                              ScheduleAt schedule_at, RunUntil run_until,
+                              std::function<void()> run_all,
+                              std::function<std::int64_t()> now) {
+  if (input.periodic) {
+    return run_periodic(input.seed, kernel, schedule_at, run_until,
+                        std::move(run_all), std::move(now));
+  }
+  return run_bursts(input.seed, kernel, schedule_at, run_until,
+                    std::move(run_all), std::move(now));
+}
+
 struct SimulationTrace {
   std::vector<int> order;
   std::uint32_t next_seq;  // the kernel's tie-break counter at the end
 };
 
-// `first_seq` other than 1 starts the kernel's sequence counter there
+// A `first_seq` other than 1 starts the kernel's sequence counter there
 // through the public restore protocol, so a workload started a few hundred
 // sequences below 2^32 crosses the wrap and its renumbering.
-SimulationTrace trace_simulation(std::uint64_t seed, std::uint32_t first_seq) {
+SimulationTrace trace_simulation(const GoldenInput& input) {
   Simulation simulation{SimTime{0}};
-  if (first_seq != 1) {
+  if (input.first_seq != 1) {
     Simulation::KernelCheckpoint checkpoint;
-    checkpoint.next_seq = first_seq;
+    checkpoint.next_seq = input.first_seq;
     simulation.begin_restore(checkpoint);
     simulation.finish_restore();
   }
   std::vector<int> order = run_workload(
-      seed, simulation,
+      input, simulation,
       [&](std::int64_t at, std::function<void()> fn) {
         return simulation.schedule_at(SimTime{at}, std::move(fn));
       },
@@ -182,10 +273,10 @@ SimulationTrace trace_simulation(std::uint64_t seed, std::uint32_t first_seq) {
   return {std::move(order), simulation.checkpoint().next_seq};
 }
 
-std::vector<int> trace_reference(std::uint64_t seed) {
+std::vector<int> trace_reference(const GoldenInput& input) {
   ReferenceKernel kernel{0};
   return run_workload(
-      seed, kernel,
+      input, kernel,
       [&](std::int64_t at, std::function<void()> fn) {
         return kernel.schedule(at, std::move(fn));
       },
@@ -193,23 +284,12 @@ std::vector<int> trace_reference(std::uint64_t seed) {
       [&] { kernel.run_all(); }, [&] { return kernel.now(); });
 }
 
-// One input: the workload's seed and the kernel's first tie-break
-// sequence. Printed as the seed, plus "-wrap" for a start near 2^32.
-struct GoldenInput {
-  std::uint64_t seed;
-  std::uint32_t first_seq = 1;
-};
-
-std::ostream& operator<<(std::ostream& os, const GoldenInput& input) {
-  return os << input.seed << (input.first_seq == 1 ? "" : "-wrap");
-}
-
 class EventOrderGolden : public ::testing::TestWithParam<GoldenInput> {};
 
 TEST_P(EventOrderGolden, MatchesReferenceKernel) {
   const GoldenInput input = GetParam();
-  const std::vector<int> expected = trace_reference(input.seed);
-  const SimulationTrace actual = trace_simulation(input.seed, input.first_seq);
+  const std::vector<int> expected = trace_reference(input);
+  const SimulationTrace actual = trace_simulation(input);
   ASSERT_GT(expected.size(), 100u) << "workload degenerated";
   if (input.first_seq != 1) {
     ASSERT_LT(actual.next_seq, input.first_seq) << "workload never wrapped";
@@ -221,7 +301,9 @@ INSTANTIATE_TEST_SUITE_P(
     AdversarialSeeds, EventOrderGolden,
     ::testing::Values(GoldenInput{1}, GoldenInput{7}, GoldenInput{42},
                       GoldenInput{2008}, GoldenInput{0xabcdef},
-                      GoldenInput{42, 0xffffffffu - 300}));
+                      GoldenInput{42, 0xffffffffu - 300},
+                      GoldenInput{42, 1, true},
+                      GoldenInput{42, 0xffffffffu - 300, true}));
 
 }  // namespace
 }  // namespace gw::sim

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "snapshot/archive.h"
 
 namespace gw::sim {
 namespace {
@@ -205,6 +209,103 @@ TEST(Simulation, PendingTracksBurstsAndDrains) {
   simulation.run_all();
   EXPECT_EQ(fired, 75);
   EXPECT_EQ(simulation.pending(), 0u);
+}
+
+// Self-rescheduling streams, the way stations drive the kernel: stream i
+// fires every kStreamPeriods[i] ms and logs (time, stream). There are more
+// distinct periods than lanes, so some streams sit in lanes and some in
+// the heap, and cancelling the only 10 ms event drains its lane for
+// another delay to bind. Each stream's pending event is saved and restored
+// through persist_pending, as a station component does.
+constexpr std::int64_t kStreamPeriods[] = {60, 60, 10, 120, 1800, 7, 25, 60};
+constexpr std::size_t kStreams = std::size(kStreamPeriods);
+using StreamLog = std::vector<std::pair<std::int64_t, int>>;
+
+class PeriodicStreams {
+ public:
+  PeriodicStreams(Simulation& simulation, StreamLog& log)
+      : simulation_(simulation), log_(log), ids_(kStreams, EventId{0}) {}
+
+  void start() {
+    for (std::size_t i = 0; i < kStreams; ++i) schedule(i);
+  }
+
+  void cancel(std::size_t stream) { simulation_.cancel(ids_[stream]); }
+
+  template <class Archive>
+  void persist(Archive& ar) {
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      persist_pending(ar, simulation_, ids_[i], [this, i] { fire(i); });
+    }
+  }
+
+ private:
+  void schedule(std::size_t stream) {
+    ids_[stream] = simulation_.schedule_in(Duration{kStreamPeriods[stream]},
+                                           [this, stream] { fire(stream); });
+  }
+
+  void fire(std::size_t stream) {
+    log_.emplace_back(simulation_.now().millis_since_epoch(), int(stream));
+    schedule(stream);
+  }
+
+  Simulation& simulation_;
+  StreamLog& log_;
+  std::vector<EventId> ids_;
+};
+
+constexpr SimTime kSaveAt{1234};
+constexpr SimTime kRunTo{9000};
+constexpr std::size_t kCancelledStream = 2;  // the 10 ms stream
+
+// Runs the streams to kSaveAt and cancels one stream's pending event.
+void run_to_save_point(Simulation& simulation, PeriodicStreams& streams) {
+  streams.start();
+  simulation.run_until(kSaveAt);
+  ASSERT_EQ(simulation.pending(), kStreams);
+  streams.cancel(kCancelledStream);
+  streams.cancel(kCancelledStream);
+  ASSERT_EQ(simulation.pending(), kStreams - 1);
+}
+
+TEST(Simulation, LaneEventsRestoreUnderTheirSavedKeys) {
+  StreamLog expected;
+  {
+    Simulation simulation;
+    PeriodicStreams streams(simulation, expected);
+    run_to_save_point(simulation, streams);
+    simulation.run_until(kRunTo);
+    EXPECT_EQ(simulation.pending(), kStreams - 1);
+  }
+
+  StreamLog actual;
+  Simulation::KernelCheckpoint checkpoint;
+  snapshot::Saver saver;
+  {
+    Simulation simulation;
+    PeriodicStreams streams(simulation, actual);
+    run_to_save_point(simulation, streams);
+    checkpoint = simulation.checkpoint();
+    streams.persist(saver);
+    EXPECT_EQ(saver.rebuild_records, simulation.pending());
+  }
+  const std::vector<std::uint8_t> records = saver.take();
+
+  Simulation restored;
+  PeriodicStreams streams(restored, actual);
+  restored.begin_restore(checkpoint);
+  snapshot::Loader loader{records};
+  streams.persist(loader);
+  restored.finish_restore();
+  EXPECT_EQ(restored.now(), kSaveAt);
+  EXPECT_EQ(restored.pending(), kStreams - 1);
+  restored.run_until(kRunTo);
+
+  ASSERT_GT(expected.size(), 1000u);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(restored.pending(), kStreams - 1);
+  EXPECT_EQ(restored.events_executed(), expected.size());
 }
 
 }  // namespace
