@@ -12,8 +12,8 @@
 // thread count — scripts/check.sh diffs the export at 1 thread vs default
 // as the fleet determinism gate). The exported gauges are all derived from
 // simulated time and simulated counters, so BENCH_fleet_scale.json is
-// reproducible byte-for-byte; wall-clock throughput goes to stdout only.
-#include <chrono>
+// reproducible byte-for-byte. Nothing here reads a clock: the host time of
+// a sharded day is BM_ShardedFleetDay in bench_microbench.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -52,7 +52,6 @@ struct ScalePoint {
   double groups_total = 0.0;
   double groups_converged = 0.0;
   double probes_alive = 0.0;
-  double wall_seconds = 0.0;  // stdout only — never exported
 };
 
 // One fleet season, entirely derived from the sweep size (the runner's
@@ -60,9 +59,6 @@ struct ScalePoint {
 // vs state 2, full vs 70 % battery), so convergence lag measures real
 // min-rule work, not an already-settled fleet.
 ScalePoint run_point(int stations) {
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  const auto wall_start = std::chrono::steady_clock::now();
   station::Fleet fleet{station::uniform_fleet_config(
       stations, kSeedBase + std::uint64_t(stations))};
   ScalePoint point;
@@ -84,11 +80,6 @@ ScalePoint run_point(int stations) {
   point.groups_total = rollup.gauge_value("fleet", "groups_total");
   point.groups_converged = rollup.gauge_value("fleet", "groups_converged");
   point.probes_alive = rollup.gauge_value("fleet", "probes_alive");
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  point.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
   return point;
 }
 
@@ -97,9 +88,6 @@ ScalePoint run_point(int stations) {
 // scripts/check.sh byte-diffs the export at 1 shard vs the default.
 ScalePoint run_sharded_point(ShardedSize size, std::size_t shards,
                              unsigned workers) {
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  const auto wall_start = std::chrono::steady_clock::now();
   station::ShardedFleetConfig config;
   config.fleet = station::uniform_fleet_config(
       size.stations, kSeedBase + std::uint64_t(size.stations));
@@ -125,70 +113,7 @@ ScalePoint run_sharded_point(ShardedSize size, std::size_t shards,
   point.groups_total = rollup.gauge_value("fleet", "groups_total");
   point.groups_converged = rollup.gauge_value("fleet", "groups_converged");
   point.probes_alive = rollup.gauge_value("fleet", "probes_alive");
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  point.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
   return point;
-}
-
-// Host-dependent speedup measurement: the 1024-station season at 1, 2,
-// and 4 shard workers. Opt-in (GW_BENCH_FLEET_SPEED=1) and exported as a
-// *separate* BENCH_fleet_scale_speed.json so the deterministic export
-// above stays byte-diffable while this one carries wall-clock numbers.
-void run_speed_section(std::size_t shards) {
-  bench::subheading("sharded speedup (host-dependent, 1024 stations)");
-  const ShardedSize kSpeedSize{1024, 1};
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  obs::MetricsRegistry metrics;
-  bench::row({"Workers", "Wall s", "Speedup vs 1"}, {8, 9, 13});
-  double serial_seconds = 0.0;
-  std::string oversubscribed_counts;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    const ScalePoint point = run_sharded_point(kSpeedSize, shards, workers);
-    if (workers == 1) serial_seconds = point.wall_seconds;
-    // Same clamp policy as BENCH_throughput: a pool wider than the host
-    // measures oversubscription, not scaling — floor those at 1.0 and say
-    // so in meta rather than exporting a phantom regression.
-    const bool oversubscribed = workers > hw;
-    const double denominator = oversubscribed
-                                   ? std::min(point.wall_seconds,
-                                              serial_seconds)
-                                   : point.wall_seconds;
-    const double speedup =
-        denominator > 0.0 ? serial_seconds / denominator : 1.0;
-    if (oversubscribed) {
-      if (!oversubscribed_counts.empty()) oversubscribed_counts += ",";
-      oversubscribed_counts += std::to_string(workers);
-    }
-    bench::row({std::to_string(workers),
-                util::format_fixed(point.wall_seconds, 2),
-                util::format_fixed(speedup, 2) +
-                    (oversubscribed ? " (oversub)" : "")},
-               {8, 9, 13});
-    const std::string suffix = "_threads_" + std::to_string(workers);
-    metrics.gauge("fleet", "speedup" + suffix).set(speedup);
-    metrics.gauge("fleet", "wall_seconds" + suffix).set(point.wall_seconds);
-  }
-  metrics.gauge("fleet", "hardware_concurrency").set(double(hw));
-  bench::note("byte-identity of the results themselves is gated separately; "
-              "this section only times the same season at different worker "
-              "counts");
-
-  obs::BenchReport report;
-  report.bench = "fleet_scale_speed";
-  report.meta = {{"hardware_concurrency", std::to_string(hw)},
-                 {"host_dependent", "true"},
-                 {"oversubscribed_worker_counts",
-                  oversubscribed_counts.empty() ? "none"
-                                                : oversubscribed_counts},
-                 {"shards", std::to_string(shards)},
-                 {"speedup_policy",
-                  "worker counts wider than the host are clamped to >= 1.0"},
-                 {"workload", "1024 stations, 1 day, sharded fleet"}};
-  report.sections = {{"speed", &metrics, nullptr}};
-  bench::export_report(report);
 }
 
 void run() {
@@ -201,8 +126,8 @@ void run() {
       kSizes.size(), [](std::size_t trial) { return run_point(kSizes[trial]); });
 
   bench::row({"Stations", "Converged", "Lag", "Div grp-days",
-              "Sim ev/stn/day", "Yield KiB/stn", "Wall s"},
-             {8, 10, 6, 12, 14, 13, 8});
+              "Sim ev/stn/day", "Yield KiB/stn"},
+             {8, 10, 6, 12, 14, 13});
   for (const auto& point : points) {
     const double per_station_day =
         double(point.sim_events) / (double(point.stations) * kDays);
@@ -215,21 +140,13 @@ void run() {
              : std::to_string(point.convergence_lag_days) + "d",
          std::to_string(point.diverged_group_days),
          util::format_fixed(per_station_day, 1),
-         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1),
-         util::format_fixed(point.wall_seconds, 2)},
-        {8, 10, 6, 12, 14, 13, 8});
+         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1)},
+        {8, 10, 6, 12, 14, 13});
   }
   bench::note(
       "every pair starts diverged (state 3 vs 2); lag = first day all "
       "groups were in lockstep. Sim ev/stn/day should stay ~flat: per-"
       "station event load must not grow with fleet size.");
-
-  // Wall-clock throughput: stdout only. The JSON below must stay byte-
-  // identical across hosts and thread counts, so nothing timed enters it.
-  double wall_total = 0.0;
-  for (const auto& point : points) wall_total += point.wall_seconds;
-  std::printf("  total trial wall-clock %.2f s (pool may overlap trials)\n",
-              wall_total);
 
   // --- sharded points: 256 -> 4096 stations on the window kernel ---------
   const std::size_t shards = bench::fleet_shards();
@@ -242,8 +159,8 @@ void run() {
                     std::to_string(shards) + " shards, " +
                     std::to_string(shard_workers) + " workers)");
   bench::row({"Stations", "Days", "Converged", "Lag", "Sim ev/stn/day",
-              "Yield KiB/stn", "Wall s"},
-             {8, 5, 10, 6, 14, 13, 8});
+              "Yield KiB/stn"},
+             {8, 5, 10, 6, 14, 13});
   std::vector<ScalePoint> sharded_points;
   std::vector<int> sharded_days;
   for (const ShardedSize size : kShardedSizes) {
@@ -260,9 +177,8 @@ void run() {
              ? "never"
              : std::to_string(point.convergence_lag_days) + "d",
          util::format_fixed(per_station_day, 1),
-         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1),
-         util::format_fixed(point.wall_seconds, 2)},
-        {8, 5, 10, 6, 14, 13, 8});
+         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1)},
+        {8, 5, 10, 6, 14, 13});
   }
   bench::note("GW_BENCH_FLEET_SHARDS moves the partition; the exported "
               "gauges are byte-identical at any shard or worker count "
@@ -307,13 +223,6 @@ void run() {
                  {"sizes", "2,4,8,16,32,64"}};
   report.sections = {{"sweep", &registry, nullptr}};
   bench::export_report(report);
-
-  if (bench::fleet_speed_enabled()) {
-    run_speed_section(shards);
-  } else {
-    bench::note("set GW_BENCH_FLEET_SPEED=1 for the host-dependent speedup "
-                "section (BENCH_fleet_scale_speed.json)");
-  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 // results in trial order — the printed numbers are identical at any thread
 // count (GW_BENCH_THREADS overrides the pool size).
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -45,9 +44,6 @@ void run() {
   const util::Rng bench_rng{2008};
 
   runner::MonteCarloRunner pool{bench::thread_count()};
-  // gwlint: allow(banned-api): wall-clock trial timing, exported as
-  // host_dependent bench metadata only
-  const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<TrialOutcome> outcomes =
       pool.run(kTrials, [&](std::size_t trial) {
         sim::Simulation simulation{deployed};
@@ -77,12 +73,6 @@ void run() {
         }
         return outcome;
       });
-  const double wall_seconds =
-      // gwlint: allow(banned-api): wall-clock trial timing, exported as
-      // host_dependent bench metadata only
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 
   int survivors_1y[kProbesPerTrial + 1] = {};
   int survivors_18m[kProbesPerTrial + 1] = {};
@@ -127,8 +117,7 @@ void run() {
       "the paper's 4/7 at one year sits near the mode of the fitted model; "
       "2 at 18 months matches the wear-out tail");
   bench::note(std::to_string(kTrials) + " trials on " +
-              std::to_string(pool.threads()) + " threads in " +
-              util::format_fixed(wall_seconds, 3) + " s");
+              std::to_string(pool.threads()) + " threads");
 }
 
 }  // namespace

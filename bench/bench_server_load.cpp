@@ -13,9 +13,8 @@
 // Every trial runs on the MonteCarloRunner (GW_BENCH_THREADS pins the
 // pool); all exported numbers are derived from simulated traffic, so
 // BENCH_server_load.json is byte-identical at any thread count —
-// scripts/check.sh diffs 1 thread vs default. Wall-clock throughput goes
-// to stdout only.
-#include <chrono>
+// scripts/check.sh diffs 1 thread vs default. Host-timed query latency is
+// perfbench's server_mix workload, not this bench.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "proto/messages.h"
 #include "runner/monte_carlo_runner.h"
 #include "station/southampton.h"
-#include "util/strings.h"
 #include "util/units.h"
 
 namespace gw {
@@ -51,7 +49,6 @@ struct LoadPoint {
   std::int64_t group_fresh_sum = 0;    // ditto
   std::int64_t converged_checks = 0;   // group responses that said converged
   std::int64_t directory_names = 0;    // station names returned by dir queries
-  double wall_seconds = 0.0;           // stdout only — never exported
 };
 
 std::string station_name(int index) {
@@ -89,9 +86,6 @@ fault::FaultPlan trial_plan(std::size_t trial) {
 }
 
 LoadPoint run_trial(std::size_t trial) {
-  // gwlint: allow(banned-api): wall-clock trial timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  const auto wall_start = std::chrono::steady_clock::now();
   const sim::SimTime start = sim::to_time({2008, 9, 1, 0, 0, 0});
   fault::FaultOracle oracle{trial_plan(trial), start};
 
@@ -184,11 +178,6 @@ LoadPoint run_trial(std::size_t trial) {
   point.future_reports_ignored = server.sync().future_reports_ignored();
   point.files_received = server.files_received();
   point.compactions = server.compactions();
-  // gwlint: allow(banned-api): wall-clock trial timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  point.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
   return point;
 }
 
@@ -204,10 +193,9 @@ void run() {
       pool.run(kTrials, [](std::size_t trial) { return run_trial(trial); });
 
   LoadPoint total;
-  double wall_total = 0.0;
   bench::row({"Trial", "Queries", "Served", "Refused", "Rejects",
-              "FutureRep", "Files", "Wall s"},
-             {5, 9, 9, 8, 8, 9, 7, 8});
+              "FutureRep", "Files"},
+             {5, 9, 9, 8, 8, 9, 7});
   for (std::size_t t = 0; t < points.size(); ++t) {
     const LoadPoint& p = points[t];
     bench::row({std::to_string(t), std::to_string(p.queries_issued),
@@ -215,9 +203,8 @@ void run() {
                 std::to_string(p.queries_refused),
                 std::to_string(p.ingest_rejected),
                 std::to_string(p.future_reports_ignored),
-                std::to_string(p.files_received),
-                util::format_fixed(p.wall_seconds, 2)},
-               {5, 9, 9, 8, 8, 9, 7, 8});
+                std::to_string(p.files_received)},
+               {5, 9, 9, 8, 8, 9, 7});
     total.queries_issued += p.queries_issued;
     total.queries_served += p.queries_served;
     total.queries_refused += p.queries_refused;
@@ -229,16 +216,10 @@ void run() {
     total.group_fresh_sum += p.group_fresh_sum;
     total.converged_checks += p.converged_checks;
     total.directory_names += p.directory_names;
-    wall_total += p.wall_seconds;
   }
   bench::note("refused = corrupted wires bounced by the CRC envelope; "
               "rejects = bounded-queue backpressure drops; FutureRep = "
               "drifted-RTC reports ignored by the freshness fold");
-  if (wall_total > 0.0) {
-    // Wall-clock throughput: stdout only, never exported.
-    std::printf("  ~%.0f queries/s of trial wall-clock (pool overlaps)\n",
-                double(total.queries_issued) / wall_total);
-  }
 
   obs::MetricsRegistry registry;
   const auto set = [&registry](const char* name, double value) {

@@ -30,19 +30,18 @@
 #      (ShardedFleetTest.*, ShardedDeterminism.*: the per-shard dirty
 #      lists workers fill and the barrier drain reads) under TSan. Off by
 #      default for the same reason as the ASan leg;
-#   5. performance bench export and perfbench digest smoke: when
-#      build/bench/bench_throughput and build/bench/bench_microbench exist
-#      (i.e. the default build has run), runs them and leaves
-#      machine-readable results in the repo root as BENCH_throughput.json
-#      (schema glacsweb.bench.v1) and BENCH_microbench_raw.json
-#      (google-benchmark JSON). Then, when python3 and cmake are installed,
-#      runs `python3 perfbench/run.py --workload <w> --seconds 1` for
-#      season, big_fleet and fork_campaign (the first run builds the
-#      driver under .bench_build/) and fails unless each result line
-#      reads "correct": true — a kernel or model change that moves a
-#      pinned perfbench digest (event count, snapshot fingerprint) fails
-#      here. Skipped when the tools are absent; disable both halves with
-#      GW_CHECK_BENCH=0;
+#   5. micro-benchmark export and perfbench digest smoke: when
+#      build/bench/bench_microbench exists (i.e. the default build has
+#      run), runs it — the only host-timed binary in bench/ — and leaves
+#      its google-benchmark JSON in the repo root as
+#      BENCH_microbench_raw.json. Then, when python3 and cmake are
+#      installed, runs `python3 perfbench/run.py --workload <w> --seconds 1`
+#      for season, big_fleet, fork_campaign and server_mix (the first run
+#      builds the driver under .bench_build/) and fails unless each result
+#      line reads "correct": true — a kernel, model or server change that
+#      moves a pinned perfbench digest (event count, snapshot fingerprint,
+#      server_mix response digest) fails here. Skipped when the tools are
+#      absent; disable both halves with GW_CHECK_BENCH=0;
 #   6. fleet determinism gate: when build/bench/bench_fleet_scale exists,
 #      runs the sweep three times — GW_BENCH_THREADS=1, one shard
 #      (GW_BENCH_FLEET_SHARDS=1), and the defaults — and byte-diffs the
@@ -161,27 +160,25 @@ else
   echo "skip: TSan runner tests (set GW_CHECK_TSAN=1 to enable)"
 fi
 
-# --- 5. performance bench export + perfbench digest smoke -----------------
+# --- 5. micro-benchmark export + perfbench digest smoke -------------------
 if [ "${GW_CHECK_BENCH:-1}" = "1" ]; then
-  if [ -x build/bench/bench_throughput ] &&
-     [ -x build/bench/bench_microbench ]; then
-    echo "== throughput + microbench export (BENCH_*.json in repo root)"
-    if ./build/bench/bench_throughput >/dev/null &&
-       ./build/bench/bench_microbench \
+  if [ -x build/bench/bench_microbench ]; then
+    echo "== microbench export (BENCH_microbench_raw.json in repo root)"
+    if ./build/bench/bench_microbench \
          --benchmark_format=json >BENCH_microbench_raw.json; then
-      echo "ok: wrote BENCH_throughput.json and BENCH_microbench_raw.json"
+      echo "ok: wrote BENCH_microbench_raw.json"
     else
-      echo "FAIL: bench export"
+      echo "FAIL: microbench export"
       failures=$((failures + 1))
     fi
   else
-    echo "skip: bench binaries not built (build the default tree first)"
+    echo "skip: bench_microbench not built (build the default tree first)"
   fi
   if command -v python3 >/dev/null 2>&1 && command -v cmake >/dev/null 2>&1
   then
-    echo "== perfbench digest smoke (season, big_fleet, fork_campaign)"
+    echo "== perfbench digest smoke (season, big_fleet, fork_campaign, server_mix)"
     smoke_log="$(mktemp)"
-    for workload in season big_fleet fork_campaign; do
+    for workload in season big_fleet fork_campaign server_mix; do
       result=$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
                  2>"$smoke_log" | tail -n 1)
       if printf '%s\n' "$result" | grep -q '"correct": true'; then

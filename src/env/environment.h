@@ -49,12 +49,6 @@ class Environment {
   [[nodiscard]] InterferenceModel& interference() { return interference_; }
   [[nodiscard]] GpsSky& gps_sky() { return gps_sky_; }
 
-  // Convenience: fork a named RNG stream tied to this environment's seed
-  // (used by device fault models so they stay reproducible too).
-  [[nodiscard]] util::Rng fork_rng(std::string_view name) const {
-    return rng_.fork(name);
-  }
-
   // Snapshot support (docs/SNAPSHOT.md): every model's stochastic state,
   // in construction order. Configs are rebuilt with the world, not saved.
   template <class Archive>

@@ -8,7 +8,6 @@ FleetConfig DeploymentConfig::to_fleet_config() const {
   fleet.start = start;
   fleet.environment = environment;
   fleet.trace_enabled = trace_enabled;
-  fleet.trace_interval = trace_interval;
   fleet.fault_spec = fault_spec;
   // Legacy knobs: bare probe<id> names and an uncapped receipt ledger keep
   // every pre-fleet export byte-identical.

@@ -32,7 +32,6 @@ struct DeploymentConfig {
   StationConfig base;
   StationConfig reference;
   bool trace_enabled = true;
-  sim::Duration trace_interval = sim::minutes(30);
   // Optional fault plan (docs/FAULTS.md spec text). When non-empty it is
   // parsed at construction, anchored at `start`, and wired into both
   // stations and the server. A parse error throws std::invalid_argument:

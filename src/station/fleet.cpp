@@ -1,6 +1,6 @@
 #include "station/fleet.h"
 
-#include <cstdio>
+#include <string>
 
 namespace gw::station {
 
@@ -19,7 +19,6 @@ Fleet::Fleet(FleetConfig config)
     oracle = &fault_oracle_;
   }
   server_.set_received_window(config_.server_received_window);
-  server_.set_station_queue_limit(config_.server_station_queue_limit);
   // Anomaly paths (ingest_rejected, future_report) journal into the rollup
   // sinks; an honest season under default limits records nothing here.
   server_.set_hooks(rollup_.hooks());
@@ -57,9 +56,20 @@ void Fleet::sample_trace() {
     assembly::sample_station(trace_, config_, now, *stations_[s], probes_[s],
                              environment_);
   }
-  trace_event_ =
-      simulation_.schedule_in(config_.trace_interval, [this] { sample_trace(); });
+  trace_event_ = simulation_.schedule_in(assembly::kTraceInterval,
+                                         [this] { sample_trace(); });
 }
+
+namespace {
+
+// "%03d" without a fixed-size buffer: 7 -> "007", 1000 -> "1000".
+std::string zero_padded(int value) {
+  std::string digits = std::to_string(value);
+  if (digits.size() < 3) digits.insert(0, 3 - digits.size(), '0');
+  return digits;
+}
+
+}  // namespace
 
 FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
   FleetConfig config;
@@ -74,9 +84,7 @@ FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
   for (int i = 0; i < stations; ++i) {
     const bool base_role = (i % 2 == 0);
     StationSpec spec;
-    char name[8];
-    std::snprintf(name, sizeof name, "s%03d", i);
-    spec.station.name = name;
+    spec.station.name = "s" + zero_padded(i);
     spec.station.role = base_role ? StationRole::kBaseStation
                                   : StationRole::kReferenceStation;
     // Real fleets don't wake in perfect unison: stagger the daily windows
@@ -85,9 +93,7 @@ FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
     spec.station.initial_state = base_role ? core::PowerState::kState3
                                            : core::PowerState::kState2;
     spec.station.power.battery.initial_soc = base_role ? 1.0 : 0.7;
-    char group[8];
-    std::snprintf(group, sizeof group, "g%03d", i / 2);
-    spec.sync_group = group;
+    spec.sync_group = "g" + zero_padded(i / 2);
     spec.chargers = base_role
                         ? std::vector<ChargerKind>{ChargerKind::kSolar,
                                                    ChargerKind::kWind}

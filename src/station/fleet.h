@@ -57,7 +57,6 @@ struct FleetConfig {
   env::EnvironmentConfig environment;
   std::vector<StationSpec> stations;
   bool trace_enabled = true;
-  sim::Duration trace_interval = sim::minutes(30);
   // Optional fault plan (docs/FAULTS.md spec text). When non-empty it is
   // parsed at construction, anchored at `start`, and wired into every
   // station and the server. A parse error throws std::invalid_argument: a
@@ -71,10 +70,6 @@ struct FleetConfig {
   // Rolling receipt-ledger window handed to the server (0 = unbounded, the
   // legacy preset's setting). Totals stay exact either way.
   std::size_t server_received_window = 0;
-  // Per-station bound on each of the server's command/update/config queues
-  // (0 = unbounded, the legacy setting). A full queue rejects the enqueue
-  // and journals an ingest_rejected drop (docs/FLEET.md backpressure).
-  std::size_t server_station_queue_limit = 0;
 };
 
 class Fleet {

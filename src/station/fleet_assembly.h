@@ -141,8 +141,12 @@ inline const ProbeVariant& probe_variant(int probe_index) {
                                             const std::string& station,
                                             int probe_id);
 
-// One 30-minute sample: "<station>.voltage/.state/.soc", then each live
-// probe's "<series>.conductivity" in probe order.
+// Trace cadence of both fleets: one sample_station() per station per
+// kTraceInterval of simulated time.
+inline constexpr sim::Duration kTraceInterval = sim::minutes(30);
+
+// One kTraceInterval sample: "<station>.voltage/.state/.soc", then each
+// live probe's "<series>.conductivity" in probe order.
 void sample_station(sim::Trace& trace, const FleetConfig& config,
                     sim::SimTime now, Station& station,
                     const ProbeList& probes, env::Environment& environment);

@@ -60,7 +60,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
       assembly::parse_fault_plan(fleet, "ShardedFleet");
 
   hub_.set_received_window(fleet.server_received_window);
-  hub_.set_station_queue_limit(fleet.server_station_queue_limit);
   // Hub-side anomaly journal (ingest_rejected, future_report) mirrors the
   // serial Fleet wiring; honest seasons record nothing here. The replicas
   // stay uninstrumented — their ledgers drain into the hub anyway.
@@ -83,7 +82,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     world->environment =
         std::make_unique<env::Environment>(fleet.environment, fleet.seed);
     world->server = std::make_unique<SouthamptonServer>();
-    world->server->set_station_queue_limit(fleet.server_station_queue_limit);
     world->server->sync().enable_report_log();
     world->outbox.attach(dirty_[world->shard], worlds_.size());
     world->server->set_outbox_mark(&world->outbox);
@@ -262,7 +260,7 @@ void ShardedFleet::sample_trace(std::size_t index) {
   sim::Simulation& shard = sharded_->shard(world.shard);
   assembly::sample_station(world.trace, config_.fleet, shard.now(),
                            *world.station, world.probes, *world.environment);
-  shard.schedule_in(config_.fleet.trace_interval,
+  shard.schedule_in(assembly::kTraceInterval,
                     [this, index] { sample_trace(index); });
 }
 

@@ -52,18 +52,6 @@ TEST(Environment, DifferentSeedsDifferentWeather) {
   EXPECT_LT(identical, 5);
 }
 
-TEST(Environment, NamedForksAreStableAndDistinct) {
-  Environment environment{11};
-  util::Rng a = environment.fork_rng("device-x");
-  util::Rng b = environment.fork_rng("device-x");
-  util::Rng c = environment.fork_rng("device-y");
-  for (int i = 0; i < 20; ++i) {
-    const auto va = a.next_u64();
-    EXPECT_EQ(va, b.next_u64());
-    EXPECT_NE(va, c.next_u64());
-  }
-}
-
 TEST(Environment, ConfigPlumbsThrough) {
   EnvironmentConfig config;
   config.radio_site = RadioSite::kLab;

@@ -131,6 +131,17 @@ TEST(FleetTest, ServerReceivedWindowIsWiredThrough) {
   EXPECT_GT(total, 8u);
 }
 
+TEST(FleetTest, UniformConfigNamesPadToThreeDigits) {
+  const FleetConfig config = uniform_fleet_config(1001, 7);
+  ASSERT_EQ(config.stations.size(), 1001u);
+  EXPECT_EQ(config.stations[0].station.name, "s000");
+  EXPECT_EQ(config.stations[999].station.name, "s999");
+  EXPECT_EQ(config.stations[1000].station.name, "s1000");
+  EXPECT_EQ(config.stations[0].sync_group, "g000");
+  EXPECT_EQ(config.stations[999].sync_group, "g499");
+  EXPECT_EQ(config.stations[1000].sync_group, "g500");
+}
+
 TEST(FleetTest, DeterministicFromSeed) {
   auto fingerprint = [](std::uint64_t seed) {
     auto config = quad_config();
