@@ -16,7 +16,7 @@
 
 #include "bench_util.h"
 #include "core/data_priority.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "util/strings.h"
 
 namespace gw {
@@ -68,13 +68,15 @@ struct AblationResult {
 };
 
 AblationResult run_winter_station(bool enabled) {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.seed = 99;
   config.start = sim::DateTime{2009, 2, 1, 0, 0, 0};
   config.trace_enabled = false;
   // Survival-mode firmware: every daily average maps to state 0, so the
   // *only* communications possible are data-priority-forced ones.
-  for (auto* station_config : {&config.base, &config.reference}) {
+  for (auto* station_config : {&base, &reference}) {
     station_config->policy.state1_threshold = util::Volts{99.0};
     station_config->policy.state2_threshold = util::Volts{99.0};
     station_config->policy.state3_threshold = util::Volts{99.0};
@@ -82,15 +84,15 @@ AblationResult run_winter_station(bool enabled) {
     station_config->gprs.registration_success = 1.0;
     station_config->gprs.drop_per_minute = 0.0;
   }
-  config.base.enable_data_priority = enabled;
-  station::Deployment deployment{config};
-  deployment.run_days(120.0);  // through late May: melt onset included
+  base.enable_data_priority = enabled;
+  station::Fleet fleet{config};
+  fleet.run_days(120.0);  // through late May: melt onset included
 
   AblationResult result;
-  result.files_received = deployment.server().files_from("base");
-  result.forced_days = deployment.base().stats().forced_comms_days;
+  result.files_received = fleet.server().files_from("base");
+  result.forced_days = fleet.station(0).stats().forced_comms_days;
   const auto onset = sim::at_midnight(2009, 4, 1);
-  for (const auto& file : deployment.server().received()) {
+  for (const auto& file : fleet.server().received()) {
     if (file.station == "base" && file.received_at >= onset) {
       result.first_file_after_onset = sim::format_iso(file.received_at);
       break;

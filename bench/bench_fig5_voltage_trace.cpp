@@ -14,7 +14,7 @@
 
 #include "bench_util.h"
 #include "sim/trace_export.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "util/strings.h"
 
 namespace gw {
@@ -24,29 +24,31 @@ void run() {
   bench::heading(
       "Fig 5: base-station voltage + power state, 22-25 Sep 2009 window");
 
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.start = sim::DateTime{2009, 9, 15, 0, 0, 0};
-  config.base.power.battery.initial_soc = 0.97;
-  config.reference.power.battery.initial_soc = 0.97;
-  config.base.gprs.registration_success = 1.0;
-  config.base.gprs.drop_per_minute = 0.0;
-  config.reference.gprs.registration_success = 1.0;
-  config.reference.gprs.drop_per_minute = 0.0;
-  config.base.initial_state = core::PowerState::kState2;
-  config.reference.initial_state = core::PowerState::kState2;
-  station::Deployment deployment{config};
+  base.power.battery.initial_soc = 0.97;
+  reference.power.battery.initial_soc = 0.97;
+  base.gprs.registration_success = 1.0;
+  base.gprs.drop_per_minute = 0.0;
+  reference.gprs.registration_success = 1.0;
+  reference.gprs.drop_per_minute = 0.0;
+  base.initial_state = core::PowerState::kState2;
+  reference.initial_state = core::PowerState::kState2;
+  station::Fleet fleet{config};
 
   // Hold the stations in state 2 by remote override (the Fig 5 annotation),
   // releasing at 13:00 on 23 Sep.
-  deployment.server().sync().set_manual_override(core::PowerState::kState2);
+  fleet.server().sync().set_manual_override(core::PowerState::kState2);
   const sim::SimTime release = sim::to_time({2009, 9, 23, 13, 0, 0});
-  deployment.simulation().schedule_at(release, [&deployment] {
-    deployment.server().sync().set_manual_override(std::nullopt);
+  fleet.simulation().schedule_at(release, [&fleet] {
+    fleet.server().sync().set_manual_override(std::nullopt);
   });
 
-  deployment.run_days(11.0);  // through 26 Sep
+  fleet.run_days(11.0);  // through 26 Sep
 
-  const auto& trace = deployment.trace();
+  const auto& trace = fleet.trace();
   const auto& voltage = trace.series("base.voltage");
   const auto& state = trace.series("base.state");
 
@@ -114,9 +116,9 @@ void run() {
   // 4. In state 3 the dGPS fires every 2 h (12/day).
   int gps_day_readings = 0;
   (void)state;
-  const int readings_before = deployment.base().dgps().readings_taken();
-  deployment.run_days(1.0);
-  gps_day_readings = deployment.base().dgps().readings_taken() -
+  const int readings_before = fleet.station(0).dgps().readings_taken();
+  fleet.run_days(1.0);
+  gps_day_readings = fleet.station(0).dgps().readings_taken() -
                      readings_before;
   bench::paper_vs_measured("dGPS readings per state-3 day",
                            "12 (2-hour dips)",
@@ -128,11 +130,11 @@ void run() {
   report.bench = "fig5_voltage_trace";
   report.meta = {{"paper", "Fig 5"},
                  {"window", "2009-09-22..2009-09-26"},
-                 {"seed", std::to_string(deployment.config().seed)}};
+                 {"seed", std::to_string(fleet.config().seed)}};
   report.sections = {
-      {"base", &deployment.base().metrics(), &deployment.base().journal()},
-      {"reference", &deployment.reference().metrics(),
-       &deployment.reference().journal()}};
+      {"base", &fleet.station(0).metrics(), &fleet.station(0).journal()},
+      {"reference", &fleet.station(1).metrics(),
+       &fleet.station(1).journal()}};
   report.series = sim::to_obs_series(
       trace, std::vector<std::string>{"base.voltage", "base.state"},
       window_start, window_end);

@@ -12,7 +12,7 @@
 #include <map>
 
 #include "bench_util.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "util/strings.h"
 
 namespace gw {
@@ -21,16 +21,18 @@ namespace {
 void run() {
   bench::heading("Fig 6: sub-glacial conductivity, 27 Jan - 21 Apr 2009");
 
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.start = sim::DateTime{2009, 1, 20, 0, 0, 0};
-  config.base.gprs.registration_success = 1.0;
-  config.base.gprs.drop_per_minute = 0.0;
-  config.reference.gprs.registration_success = 1.0;
-  config.reference.gprs.drop_per_minute = 0.0;
-  station::Deployment deployment{config};
-  deployment.run_days(98.0);  // through late April
+  base.gprs.registration_success = 1.0;
+  base.gprs.drop_per_minute = 0.0;
+  reference.gprs.registration_success = 1.0;
+  reference.gprs.drop_per_minute = 0.0;
+  station::Fleet fleet{config};
+  fleet.run_days(98.0);  // through late April
 
-  const auto& trace = deployment.trace();
+  const auto& trace = fleet.trace();
   // The paper plots probes 21, 24 and 25.
   const std::vector<std::string> probes = {"probe21", "probe24", "probe25"};
 
@@ -83,9 +85,9 @@ void run() {
   bench::subheading("pipeline check");
   bench::note("probe readings delivered to base station over the window: " +
               std::to_string(
-                  deployment.base().stats().probe_readings_delivered));
+                  fleet.station(0).stats().probe_readings_delivered));
   bench::note("probes alive at window end: " +
-              std::to_string(deployment.probes_alive()) + "/7");
+              std::to_string(fleet.probes_alive()) + "/7");
 }
 
 }  // namespace

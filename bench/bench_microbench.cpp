@@ -18,7 +18,7 @@
 #include "proto/bulk_transfer.h"
 #include "runner/monte_carlo_runner.h"
 #include "sim/simulation.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "station/probe_node.h"
 #include "station/sharded_fleet.h"
 #include "util/crc32.h"
@@ -96,12 +96,12 @@ void BM_DeploymentDay(benchmark::State& state) {
   // Cost of simulating one full two-station deployment day.
   for (auto _ : state) {
     state.PauseTiming();
-    station::DeploymentConfig config;
+    station::FleetConfig config = station::paper_fleet_config();
     config.trace_enabled = false;
-    station::Deployment deployment{config};
+    station::Fleet fleet{config};
     state.ResumeTiming();
-    deployment.run_days(1.0);
-    benchmark::DoNotOptimize(deployment.base().stats().runs_completed);
+    fleet.run_days(1.0);
+    benchmark::DoNotOptimize(fleet.station(0).stats().runs_completed);
   }
   state.SetItemsProcessed(state.iterations());
 }

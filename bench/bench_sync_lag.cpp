@@ -16,7 +16,7 @@
 #include <functional>
 
 #include "bench_util.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "util/strings.h"
 
 namespace gw {
@@ -32,31 +32,33 @@ struct LagResult {
 // Measures when the reference follows the base into state 2, for the given
 // reference-window offset.
 LagResult measure_lag(sim::Duration reference_offset) {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.start = sim::DateTime{2009, 9, 1, 0, 0, 0};
-  config.base.gprs.registration_success = 1.0;
-  config.base.gprs.drop_per_minute = 0.0;
-  config.reference.gprs.registration_success = 1.0;
-  config.reference.gprs.drop_per_minute = 0.0;
-  config.base.power.battery.initial_soc = 1.0;
-  config.reference.power.battery.initial_soc = 1.0;
-  config.base.initial_state = core::PowerState::kState3;
-  config.reference.initial_state = core::PowerState::kState3;
-  config.reference.wake_time_of_day = sim::hours(12) + reference_offset;
+  base.gprs.registration_success = 1.0;
+  base.gprs.drop_per_minute = 0.0;
+  reference.gprs.registration_success = 1.0;
+  reference.gprs.drop_per_minute = 0.0;
+  base.power.battery.initial_soc = 1.0;
+  reference.power.battery.initial_soc = 1.0;
+  base.initial_state = core::PowerState::kState3;
+  reference.initial_state = core::PowerState::kState3;
+  reference.wake_time_of_day = sim::hours(12) + reference_offset;
   config.trace_enabled = false;
-  station::Deployment deployment{config};
+  station::Fleet fleet{config};
 
   // From day 3, pin the base battery into the state-2 voltage band (an aged
   // bank), re-clamped every 30 minutes against charging.
   const sim::SimTime pin_from = sim::at_midnight(2009, 9, 4);
-  std::function<void()> clamp = [&deployment, &clamp] {
-    auto& battery = deployment.base().power().battery();
+  std::function<void()> clamp = [&fleet, &clamp] {
+    auto& battery = fleet.station(0).power().battery();
     if (battery.soc() > 0.40) battery.set_soc(0.40);
-    deployment.simulation().schedule_in(sim::minutes(30), clamp);
+    fleet.simulation().schedule_in(sim::minutes(30), clamp);
   };
-  deployment.simulation().schedule_at(pin_from, clamp);
+  fleet.simulation().schedule_at(pin_from, clamp);
 
-  deployment.run_days(12.0);
+  fleet.run_days(12.0);
 
   // Find the transition times.
   auto transition_time = [](const station::Station& s) {
@@ -68,8 +70,8 @@ LagResult measure_lag(sim::Duration reference_offset) {
     }
     return sim::SimTime{0};
   };
-  const sim::SimTime base_at = transition_time(deployment.base());
-  const sim::SimTime ref_at = transition_time(deployment.reference());
+  const sim::SimTime base_at = transition_time(fleet.station(0));
+  const sim::SimTime ref_at = transition_time(fleet.station(1));
   LagResult result;
   if (base_at == sim::SimTime{0} || ref_at == sim::SimTime{0}) return result;
   result.seen = true;

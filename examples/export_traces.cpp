@@ -8,19 +8,19 @@
 #include <cstdio>
 #include <cstring>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace {
 
 using namespace gw;
 
-void emit_csv(station::Deployment& deployment,
+void emit_csv(station::Fleet& fleet,
               const std::vector<std::string>& series, sim::SimTime from,
               sim::SimTime to) {
   std::printf("utc");
   for (const auto& name : series) std::printf(",%s", name.c_str());
   std::printf("\n");
-  const auto& trace = deployment.trace();
+  const auto& trace = fleet.trace();
   // All series share the 30-min sampling grid; walk the first one.
   for (const auto& point : trace.series(series.front())) {
     if (point.time < from || point.time >= to) continue;
@@ -33,29 +33,31 @@ void emit_csv(station::Deployment& deployment,
 }
 
 int run_fig5() {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.start = sim::DateTime{2009, 9, 15, 0, 0, 0};
-  config.base.power.battery.initial_soc = 0.97;
-  config.base.initial_state = core::PowerState::kState2;
-  config.reference.initial_state = core::PowerState::kState2;
-  station::Deployment deployment{config};
-  deployment.server().sync().set_manual_override(core::PowerState::kState2);
-  deployment.simulation().schedule_at(
-      sim::to_time({2009, 9, 23, 13, 0, 0}), [&deployment] {
-        deployment.server().sync().set_manual_override(std::nullopt);
+  base.power.battery.initial_soc = 0.97;
+  base.initial_state = core::PowerState::kState2;
+  reference.initial_state = core::PowerState::kState2;
+  station::Fleet fleet{config};
+  fleet.server().sync().set_manual_override(core::PowerState::kState2);
+  fleet.simulation().schedule_at(
+      sim::to_time({2009, 9, 23, 13, 0, 0}), [&fleet] {
+        fleet.server().sync().set_manual_override(std::nullopt);
       });
-  deployment.run_days(11.0);
-  emit_csv(deployment, {"base.voltage", "base.state"},
+  fleet.run_days(11.0);
+  emit_csv(fleet, {"base.voltage", "base.state"},
            sim::at_midnight(2009, 9, 22), sim::at_midnight(2009, 9, 26));
   return 0;
 }
 
 int run_fig6() {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.start = sim::DateTime{2009, 1, 20, 0, 0, 0};
-  station::Deployment deployment{config};
-  deployment.run_days(95.0);
-  emit_csv(deployment,
+  station::Fleet fleet{config};
+  fleet.run_days(95.0);
+  emit_csv(fleet,
            {"probe21.conductivity", "probe24.conductivity",
             "probe25.conductivity"},
            sim::at_midnight(2009, 1, 27), sim::at_midnight(2009, 4, 22));
@@ -63,11 +65,11 @@ int run_fig6() {
 }
 
 int run_year() {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
-  station::Deployment deployment{config};
-  deployment.run_days(365.0);
-  emit_csv(deployment,
+  station::Fleet fleet{config};
+  fleet.run_days(365.0);
+  emit_csv(fleet,
            {"base.voltage", "base.state", "base.soc", "reference.voltage",
             "reference.state", "reference.soc"},
            sim::at_midnight(2008, 9, 1), sim::at_midnight(2009, 9, 1));

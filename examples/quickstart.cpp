@@ -7,22 +7,22 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 int main() {
   using namespace gw;
 
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.seed = 2008;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};  // the field season
 
-  station::Deployment deployment{config};
-  deployment.run_days(30.0);
+  station::Fleet fleet{config};
+  fleet.run_days(30.0);
 
   std::printf("Glacsweb deployment after 30 days (from %s)\n\n",
               sim::format_iso(sim::to_time(config.start)).c_str());
 
-  for (auto* s : {&deployment.base(), &deployment.reference()}) {
+  for (auto* s : {&fleet.station(0), &fleet.station(1)}) {
     const auto& stats = s->stats();
     std::printf("[%s station]\n", s->name().c_str());
     std::printf("  power state now: %d, battery SoC %.0f%%\n",
@@ -46,14 +46,14 @@ int main() {
 
   std::printf("[Southampton server]\n");
   std::printf("  files received: %d from base, %d from reference\n",
-              deployment.server().files_from("base"),
-              deployment.server().files_from("reference"));
+              fleet.server().files_from("base"),
+              fleet.server().files_from("reference"));
   std::printf("  data volume: %.2f MiB from base, %.2f MiB from reference\n",
-              deployment.server().bytes_from("base").mib(),
-              deployment.server().bytes_from("reference").mib());
+              fleet.server().bytes_from("base").mib(),
+              fleet.server().bytes_from("reference").mib());
 
-  std::printf("\n[probes]\n  alive: %d/7\n", deployment.probes_alive());
-  for (const auto& probe : deployment.probes()) {
+  std::printf("\n[probes]\n  alive: %d/7\n", fleet.probes_alive());
+  for (const auto& probe : fleet.probes(0)) {
     std::printf("  probe %d: %s, %u readings sampled, %zu delivered\n",
                 probe->id(), probe->alive() ? "alive" : "offline",
                 probe->readings_sampled(), probe->store().delivered_total());

@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "station/deployment.h"
 #include "station/field_report.h"
+#include "station/fleet.h"
 
 int main(int argc, char** argv) {
   using namespace gw;
@@ -19,17 +19,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.seed = 2008;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
   config.trace_enabled = false;
   // The §VII extension earns its keep over a winter.
-  config.base.enable_data_priority = true;
+  config.stations[0].station.enable_data_priority = true;
 
-  station::Deployment deployment{config};
-  deployment.run_days(days);
+  station::Fleet fleet{config};
+  fleet.run_days(days);
 
-  station::FieldReport report{deployment};
+  station::FieldReport report{fleet};
   std::fputs(report.render().c_str(), stdout);
 
   // Monthly power-state strip chart for the base station, built from the
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   const auto start = sim::to_time(config.start);
   for (int day = 0; day < int(days); day += 7) {
     const auto week_start = start + sim::days(day);
-    int state = core::to_int(deployment.base().current_state());
+    int state = core::to_int(fleet.station(0).current_state());
     // Walk the history for the state in effect at week start.
-    for (const auto& change : deployment.base().state_history()) {
+    for (const auto& change : fleet.station(0).state_history()) {
       if (change.at <= week_start) state = core::to_int(change.state);
     }
     if (day % 28 == 0) {

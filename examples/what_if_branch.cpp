@@ -14,13 +14,13 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "station/deployment.h"
 #include "station/field_report.h"
+#include "station/fleet.h"
 
 namespace {
 
-gw::station::DeploymentConfig season_config() {
-  gw::station::DeploymentConfig config;
+gw::station::FleetConfig season_config() {
+  gw::station::FleetConfig config = gw::station::paper_fleet_config();
   config.seed = 2008;
   config.start = gw::sim::DateTime{2008, 6, 1, 0, 0, 0};
   config.trace_enabled = false;
@@ -39,12 +39,12 @@ struct BranchSummary {
   int probes_alive = 0;
 };
 
-BranchSummary summarize(gw::station::Deployment& deployment) {
+BranchSummary summarize(gw::station::Fleet& fleet) {
   BranchSummary summary;
-  summary.files = deployment.server().files_from("base");
-  summary.backlog = deployment.base().uploads().queued_files();
-  summary.brown_outs = deployment.base().stats().brown_outs;
-  summary.probes_alive = deployment.probes_alive();
+  summary.files = fleet.server().files_from("base");
+  summary.backlog = fleet.station(0).uploads().queued_files();
+  summary.brown_outs = fleet.station(0).stats().brown_outs;
+  summary.probes_alive = fleet.probes_alive();
   return summary;
 }
 
@@ -60,9 +60,9 @@ int main() {
   const sim::SimTime season_end = start + sim::days(40);
 
   // Shared prefix: one live season to the branch point, sealed.
-  station::Deployment flown{season_config()};
+  station::Fleet flown{season_config()};
   flown.simulation().run_until(branch_point);
-  const std::vector<std::uint8_t> snapshot = flown.fleet().save_snapshot();
+  const std::vector<std::uint8_t> snapshot = flown.save_snapshot();
   std::printf("sealed day-20 snapshot: %zu bytes\n\n", snapshot.size());
 
   // Branch A: the season as flown, straight on to day 40.
@@ -71,8 +71,8 @@ int main() {
   // Branch B: same bytes, plus the what-if — a hard six-day GPRS outage
   // starting day 22. Fault windows are config-side, so the restored world
   // accepts the extra window without disturbing a byte of shared state.
-  station::Deployment what_if{season_config()};
-  what_if.fleet().restore_snapshot(snapshot);
+  station::Fleet what_if{season_config()};
+  what_if.restore_snapshot(snapshot);
   fault::FaultWindow outage;
   outage.kind = fault::FaultKind::kGprsOutage;
   outage.start = sim::days(22);

@@ -9,7 +9,7 @@
 // (pinned to state 3) to show why adaptation matters.
 #include <cstdio>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace {
 
@@ -25,22 +25,22 @@ struct MonthRow {
 
 void run_winter(bool adaptive) {
   using namespace gw;
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.seed = 77;
   config.start = sim::DateTime{2008, 10, 1, 0, 0, 0};
   if (!adaptive) {
     // Ablation: pin the policy so every daily average maps to state 3 —
     // on BOTH stations, or the server's min rule would re-impose the
     // healthy station's adaptive state on the pinned one.
-    for (auto* station_config : {&config.base, &config.reference}) {
-      station_config->policy.state3_threshold = util::Volts{0.0};
-      station_config->policy.state2_threshold = util::Volts{0.0};
-      station_config->policy.state1_threshold = util::Volts{0.0};
-      station_config->initial_state = core::PowerState::kState3;
+    for (auto& spec : config.stations) {
+      spec.station.policy.state3_threshold = util::Volts{0.0};
+      spec.station.policy.state2_threshold = util::Volts{0.0};
+      spec.station.policy.state1_threshold = util::Volts{0.0};
+      spec.station.initial_state = core::PowerState::kState3;
     }
   }
   config.trace_enabled = false;
-  station::Deployment deployment{config};
+  station::Fleet fleet{config};
 
   std::printf("\n%s winter (base station):\n",
               adaptive ? "ADAPTIVE (Table 2 policy)" : "PINNED STATE 3");
@@ -51,7 +51,7 @@ void run_winter(bool adaptive) {
   double prev_consumed = 0.0;
   int prev_files = 0;
   for (int month_index = 0; month_index < 8; ++month_index) {
-    const auto now = deployment.simulation().now();
+    const auto now = fleet.simulation().now();
     const auto dt = sim::to_datetime(now);
     // Run to the start of the next month.
     int year = dt.year;
@@ -60,12 +60,12 @@ void run_winter(bool adaptive) {
       month = 1;
       ++year;
     }
-    deployment.simulation().run_until(sim::at_midnight(year, month, 1));
+    fleet.simulation().run_until(sim::at_midnight(year, month, 1));
 
-    auto& base = deployment.base();
+    auto& base = fleet.station(0);
     const double harvest = base.power().total_harvested().value() / 3600.0;
     const double consumed = base.power().total_consumed().value() / 3600.0;
-    const int files = deployment.server().files_from("base");
+    const int files = fleet.server().files_from("base");
     std::printf("  %04d-%02d  %9.1f %10.1f %6.0f%% %6d %6d %11d\n", dt.year,
                 dt.month, harvest - prev_harvest, consumed - prev_consumed,
                 100.0 * base.power().battery().soc(),
@@ -76,7 +76,7 @@ void run_winter(bool adaptive) {
     prev_files = files;
   }
 
-  const auto& stats = deployment.base().stats();
+  const auto& stats = fleet.station(0).stats();
   std::printf(
       "  => runs completed %d, aborted %d, brown-outs %d, cold boots %d, "
       "probe readings %zu\n",

@@ -16,7 +16,9 @@
 //     skew beyond the guard band misses the whole day;
 //   * fate-sharing — a dead relay silences the base station entirely.
 //
-// bench_architecture runs this against the dual-GPRS station::Deployment.
+// bench_architecture runs this against a dual-GPRS equivalent: the two
+// independent GPRS stations of paper_fleet_config() (station/fleet.h),
+// reduced to their modems and power systems.
 #pragma once
 
 #include <memory>

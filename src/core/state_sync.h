@@ -63,9 +63,9 @@ struct SyncRules {
 // Manual overrides never expire.
 class SyncServer {
  public:
-  // Reports older than this are ignored by override_for_client(). Generous
-  // by default: a silent week is an outage, not a state opinion.
-  void set_max_report_age(sim::Duration age) { max_report_age_ = age; }
+  // Reports older than this (5 days) are ignored by override_for_client().
+  // Generous: a silent week is an outage, not a state opinion. Fixed, but
+  // persisted with the rest of the ledger.
   [[nodiscard]] sim::Duration max_report_age() const {
     return max_report_age_;
   }

@@ -26,7 +26,7 @@ struct UploadFile {
   std::string name;
   util::Bytes size{0};
   util::Bytes sent{0};  // partial progress (kept only with chunk_resume)
-  int priority = 0;     // higher uploads first (extension; see config)
+  int priority = 0;     // higher uploads first (extension; see enqueue)
 
   template <class Archive>
   void persist(Archive& ar) {
@@ -50,11 +50,6 @@ struct UploadReport {
 struct TransferManagerConfig {
   bool chunk_resume = false;  // off = deployed behaviour (§VI livelock)
   int max_session_retries = 2;
-  // Extension in the spirit of §VII's data prioritisation: when set,
-  // higher-priority files jump the queue (stable within a priority), so
-  // fresh science data is not starved behind a multi-day dGPS backlog.
-  // Off = deployed behaviour (strict FIFO).
-  bool priority_ordering = false;
   // Per-session timeout: a wedged session (§VI's hung SCP) is cut after
   // min(session_timeout, window budget left) instead of eating the whole
   // hang_duration and leaving the 2-hour watchdog as the only backstop.
@@ -79,9 +74,13 @@ class TransferManager {
   explicit TransferManager(TransferManagerConfig config = {})
       : config_(config) {}
 
+  // Extension in the spirit of §VII's data prioritisation: a file with a
+  // higher priority jumps the queue (stable within a priority), so fresh
+  // science data is not starved behind a multi-day dGPS backlog. Priority 0
+  // (the deployed behaviour) is strict FIFO.
   void enqueue(std::string name, util::Bytes size, int priority = 0) {
     UploadFile file{std::move(name), size, util::Bytes{0}, priority};
-    if (!config_.priority_ordering || priority == 0) {
+    if (priority == 0) {
       // FIFO fast path; priority 0 never overtakes anything.
       queue_.push_back(std::move(file));
       return;

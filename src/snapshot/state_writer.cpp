@@ -91,8 +91,7 @@ void StateWriter::section(std::string name,
 }
 
 std::vector<std::uint8_t> StateWriter::finish() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
   put_u16(out, kFormatVersion);
   put_u32(out, std::uint32_t(sections_.size()));
   for (const Pending& section : sections_) {

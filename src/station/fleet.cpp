@@ -60,6 +60,34 @@ void Fleet::sample_trace() {
                                          [this] { sample_trace(); });
 }
 
+FleetConfig paper_fleet_config() {
+  FleetConfig config;
+  // Bare probe<id> names and an uncapped receipt ledger: the exports the
+  // benches, examples and golden tests pin were recorded under them.
+  config.station_scoped_probe_names = false;
+  config.server_received_window = 0;
+
+  // §III: base station harvest = 10 W solar + 50 W wind turbine; reference
+  // station = solar panel + café mains (tourist season). The two stations
+  // are one dGPS pair, so they share a sync group. Probes went in during
+  // the summer 2008 field season (§V).
+  StationSpec base;
+  base.station.name = "base";
+  base.station.role = StationRole::kBaseStation;
+  base.sync_group = "dgps";
+  base.chargers = {ChargerKind::kSolar, ChargerKind::kWind};
+  base.probe_count = 7;
+
+  StationSpec reference;
+  reference.station.name = "reference";
+  reference.station.role = StationRole::kReferenceStation;
+  reference.sync_group = "dgps";
+  reference.chargers = {ChargerKind::kSolar, ChargerKind::kMains};
+
+  config.stations = {std::move(base), std::move(reference)};
+  return config;
+}
+
 namespace {
 
 // "%03d" without a fixed-size buffer: 7 -> "007", 1000 -> "1000".

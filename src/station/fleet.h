@@ -1,18 +1,18 @@
 // Fleet: a config-driven N-station deployment.
 //
-// The paper deployed exactly two stations (glacier base + café reference),
-// and for three PRs this repo hard-wired that shape into Deployment. The
-// fleet layer makes station count, role mix, harvest mix, probe load, and
-// sync topology *configuration*: a FleetConfig is a vector of StationSpec,
+// The paper deployed exactly two stations (glacier base + café reference)
+// running identical hardware and software (§II), so that deployment is one
+// two-station Fleet: paper_fleet_config() below. The fleet layer makes
+// station count, role mix, harvest mix, probe load, and sync topology
+// *configuration*: a FleetConfig is a vector of StationSpec,
 // each naming its chargers, its subglacial probe count, and the sync group
 // it records in lockstep with (a dGPS pair is one group; an ungrouped
 // station self-syncs). One Fleet owns the shared simulation, environment,
 // fault oracle, Southampton server, the stations and their probes, a
 // 30-minute trace, and a fleet-level rollup registry.
 //
-// Deployment (station/deployment.h) is now a thin two-station preset over
-// this class and keeps its byte-identical exports; bench_fleet_scale sweeps
-// 2 -> 64 stations on the MonteCarloRunner. See docs/FLEET.md.
+// bench_fleet_scale sweeps 2 -> 64 stations on the MonteCarloRunner. See
+// docs/FLEET.md.
 #pragma once
 
 #include <cstddef>
@@ -64,11 +64,11 @@ struct FleetConfig {
   std::string fault_spec;
   // Probe trace-series / rng namespace: "<station>/probe<id>" when true
   // (the fleet default — two stations may both serve a probe 20), bare
-  // "probe<id>" when false (the legacy two-station Deployment preset,
-  // which must keep byte-identical exports).
+  // "probe<id>" when false (paper_fleet_config(), whose exports are pinned
+  // byte for byte).
   bool station_scoped_probe_names = true;
   // Rolling receipt-ledger window handed to the server (0 = unbounded, the
-  // legacy preset's setting). Totals stay exact either way.
+  // paper preset's setting). Totals stay exact either way.
   std::size_t server_received_window = 0;
 };
 
@@ -208,5 +208,15 @@ class Fleet {
 // sized for repeated 2 -> 64 sweeps.
 [[nodiscard]] FleetConfig uniform_fleet_config(int stations,
                                                std::uint64_t seed);
+
+// The paper's 2008 Iceland deployment (§II, §III): seed 42, start
+// 2008-09-01, trace on. Station 0 is "base" (base role, solar + wind, the
+// 7 subglacial probes, dGPS, GPRS); station 1 is "reference" (reference
+// role, solar + seasonal café mains, fixed dGPS, GPRS). Both are in sync
+// group "dgps"; probe series use bare "probe<id>" names and the server's
+// receipt ledger is uncapped. Callers tweak config.stations[0].station /
+// [1].station / [0].probe_count before building the Fleet, and read
+// fleet.station(0), fleet.station(1) and fleet.probes(0) after.
+[[nodiscard]] FleetConfig paper_fleet_config();
 
 }  // namespace gw::station

@@ -82,7 +82,7 @@ Station::Station(sim::Simulation& simulation, env::Environment& environment,
 
 void Station::set_fault_oracle(fault::FaultOracle* oracle) {
   // The shared server carries the server_down windows; a standalone station
-  // (the fault tests) must attach it here, not only via Deployment.
+  // (the fault tests) must attach it here, not only via Fleet.
   server_.set_fault_oracle(oracle);
   gprs_.set_fault_oracle(oracle);
   dgps_.set_fault_oracle(oracle);
@@ -341,17 +341,15 @@ std::optional<sim::Duration> Station::probe_chunk() {
             core::DataPriority::kUrgent) {
       urgent_data_today_ = true;
     }
-    if (config_.verbose_probe_logging) {
-      // The deployed binaries logged every frame (§VI's 1 MB problem); the
-      // LogManager budget suppresses the flood after the first few KiB.
-      for (const auto& reading : stats.delivered_readings) {
-        log_manager_.debug(
-            simulation_.now().millis_since_epoch(), "probes",
-            "rx probe=" + std::to_string(reading.probe_id) +
-                " seq=" + std::to_string(reading.seq) +
-                " cond=" + util::format_fixed(reading.conductivity_us, 2) +
-                " pres=" + util::format_fixed(reading.pressure_kpa, 1));
-      }
+    // The deployed binaries logged every frame (§VI's 1 MB problem); the
+    // LogManager budget suppresses the flood after the first few KiB.
+    for (const auto& reading : stats.delivered_readings) {
+      log_manager_.debug(
+          simulation_.now().millis_since_epoch(), "probes",
+          "rx probe=" + std::to_string(reading.probe_id) +
+              " seq=" + std::to_string(reading.seq) +
+              " cond=" + util::format_fixed(reading.conductivity_us, 2) +
+              " pres=" + util::format_fixed(reading.pressure_kpa, 1));
     }
     log_manager_.info(simulation_.now().millis_since_epoch(), "probes",
                  "probe " + std::to_string(probe->id()) + ": " +

@@ -94,17 +94,13 @@ struct StationConfig {
   proto::TransferManagerConfig uploads;
   proto::NackConfig probe_protocol;
   core::LogBudgetConfig log_budget;
-  // Log every received probe reading at debug level (the deployed binaries'
-  // behaviour that produced >1 MB logs, §VI). The LogManager's budget is
-  // what keeps it affordable.
-  bool verbose_probe_logging = true;
   // §VII extension: analyse the day's probe data and force a GPRS session
   // in state 0 when the data is urgent (melt onset, pressure spike). Off =
   // deployed behaviour.
   bool enable_data_priority = false;
   // §VII-adjacent extension: science data (probe readings, sensors, log)
-  // jumps ahead of dGPS backlog files in the upload queue. Requires
-  // uploads.priority_ordering; this flag sets the priorities.
+  // jumps ahead of dGPS backlog files in the upload queue. Off = deployed
+  // behaviour (strict FIFO: every file is enqueued at priority 0).
   bool prioritize_science_data = false;
   core::DataPriorityConfig data_priority;
   // Forced communication still needs a sliver of battery.

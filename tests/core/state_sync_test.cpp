@@ -264,7 +264,7 @@ TEST(SyncServer, FutureDatedReportCannotPinTheGroup) {
   // group's min-rule to state 1 indefinitely, long after its report should
   // have aged out. Future-dated reports must be ignored outright.
   SyncServer server;
-  server.set_max_report_age(sim::days(5));
+  ASSERT_EQ(server.max_report_age(), sim::days(5));
   server.assign_group("base", "pair");
   server.assign_group("reference", "pair");
   const sim::SimTime now = sim::to_time({2008, 9, 10, 12, 0, 0});
@@ -305,7 +305,7 @@ TEST(SyncServer, ReportExactlyAtMaxAgeIsStillFresh) {
   // The freshness comparison is strict (`age > max`): a report exactly
   // max_report_age old still binds; one millisecond older does not.
   SyncServer server;
-  server.set_max_report_age(sim::days(5));
+  ASSERT_EQ(server.max_report_age(), sim::days(5));
   const sim::SimTime reported = sim::to_time({2008, 9, 1, 0, 0, 0});
   server.report_state("base", PowerState::kState1, reported);
   EXPECT_EQ(server.override_for_client("base", reported + sim::days(5)),

@@ -16,7 +16,7 @@ TEST(Trace, AddAndRead) {
 
 TEST(Trace, MissingSeriesThrows) {
   Trace trace;
-  EXPECT_THROW(trace.series("nope"), std::out_of_range);
+  EXPECT_THROW((void)trace.series("nope"), std::out_of_range);
   EXPECT_FALSE(trace.has_series("nope"));
 }
 
@@ -42,7 +42,7 @@ TEST(Trace, ValueAt) {
 TEST(Trace, ValueBeforeFirstPointThrows) {
   Trace trace;
   trace.add("state", SimTime{100}, 1.0);
-  EXPECT_THROW(trace.value_at("state", SimTime{99}), std::out_of_range);
+  EXPECT_THROW((void)trace.value_at("state", SimTime{99}), std::out_of_range);
 }
 
 TEST(Trace, ValueAtExactlyFirstPoint) {
@@ -66,10 +66,10 @@ TEST(Trace, EmptySeriesThrowsConsistently) {
   // series — not UB on front() or a silent NaN from 0/0.
   Trace trace;
   trace.declare("empty");
-  EXPECT_THROW(trace.min_value("empty"), std::out_of_range);
-  EXPECT_THROW(trace.max_value("empty"), std::out_of_range);
-  EXPECT_THROW(trace.mean_value("empty"), std::out_of_range);
-  EXPECT_THROW(trace.value_at("empty", SimTime{0}), std::out_of_range);
+  EXPECT_THROW((void)trace.min_value("empty"), std::out_of_range);
+  EXPECT_THROW((void)trace.max_value("empty"), std::out_of_range);
+  EXPECT_THROW((void)trace.mean_value("empty"), std::out_of_range);
+  EXPECT_THROW((void)trace.value_at("empty", SimTime{0}), std::out_of_range);
 }
 
 TEST(Trace, Annotations) {

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "station/deployment.h"
 #include "station/fleet.h"
 #include "station/sharded_fleet.h"
 
@@ -158,9 +157,9 @@ TEST(FleetAssembly, MalformedFaultSpecThrowsFromEveryAssembly) {
   expect_fault_plan_error(
       [&] { ShardedFleet fleet{sharded(fleet_config, 1)}; });
 
-  DeploymentConfig deployment_config;
-  deployment_config.fault_spec = kMalformed;
-  expect_fault_plan_error([&] { Deployment deployment{deployment_config}; });
+  FleetConfig paper_config = paper_fleet_config();
+  paper_config.fault_spec = kMalformed;
+  expect_fault_plan_error([&] { Fleet fleet{paper_config}; });
 }
 
 }  // namespace

@@ -80,9 +80,7 @@ TEST(StationFaults, VerboseProbeLoggingIsBudgeted) {
   // §VI: first contact after months produced >1 MB of log. The budget caps
   // what the daily upload carries.
   Fixture f;
-  auto config = f.reliable_base();
-  config.verbose_probe_logging = true;
-  auto& station = f.make(config);
+  auto& station = f.make(f.reliable_base());
   ProbeNodeConfig probe_config;
   probe_config.probe_id = 21;
   probe_config.sample_interval = sim::minutes(2);  // a chatty probe
@@ -148,7 +146,6 @@ TEST(StationFaults, ScienceDataJumpsGpsBacklog) {
   // the queue, today's probe readings still reach Southampton today.
   Fixture f;
   auto config = f.reliable_base();
-  config.uploads.priority_ordering = true;
   config.prioritize_science_data = true;
   auto& station = f.make(config);
   ProbeNodeConfig probe_config;

@@ -2,7 +2,7 @@
 // the seams a downstream user will hit first.
 #include <gtest/gtest.h>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace gw {
 namespace {
@@ -107,11 +107,11 @@ TEST(Coverage, StationAccessorsAfterRun) {
 }
 
 TEST(Coverage, DeploymentTraceCadenceExact) {
-  station::DeploymentConfig config;
+  station::FleetConfig config = station::paper_fleet_config();
   config.seed = 5;
-  station::Deployment deployment{config};
-  deployment.run_days(1.0);
-  const auto& series = deployment.trace().series("base.soc");
+  station::Fleet fleet{config};
+  fleet.run_days(1.0);
+  const auto& series = fleet.trace().series("base.soc");
   ASSERT_GE(series.size(), 48u);
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_EQ((series[i].time - series[i - 1].time).millis(),

@@ -10,7 +10,7 @@
 
 #include "obs/export.h"
 #include "sim/trace_export.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace gw {
 namespace {
@@ -23,8 +23,9 @@ constexpr const char* kSeasonSpec =
     "server_down      start=50d duration=36h\n"
     "harvest_blackout start=70d duration=12d severity=1.0\n";
 
-station::DeploymentConfig soak_config() {
-  station::DeploymentConfig config;
+station::FleetConfig soak_config() {
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
   config.seed = 20080601;
   // Summer anchor: the glacier's own winter (snow-buried turbine, polar
   // night) already zeroes harvest for real, so a season starting in autumn
@@ -37,22 +38,22 @@ station::DeploymentConfig soak_config() {
   // Under-provisioned, leaky base bank: the 12-day harvest blackout
   // flattens it even after the policy adapts down to state 0, exercising
   // §IV's exhaustion -> recharge -> recovery path in-fleet.
-  config.base.power.battery.capacity = util::AmpHours{6.0};
-  config.base.power.battery.initial_soc = 0.6;
-  config.base.power.battery.self_discharge_per_day = 0.10;
+  base.power.battery.capacity = util::AmpHours{6.0};
+  base.power.battery.initial_soc = 0.6;
+  base.power.battery.self_discharge_per_day = 0.10;
   // Hardened comms on the base: session timeout, backoff, degraded mode.
-  config.base.uploads.session_timeout = sim::minutes(15);
-  config.base.uploads.retry_backoff_base = sim::minutes(1);
-  config.base.degrade_after_failed_days = 3;
+  base.uploads.session_timeout = sim::minutes(15);
+  base.uploads.retry_backoff_base = sim::minutes(1);
+  base.degrade_after_failed_days = 3;
   return config;
 }
 
 TEST(FaultSoak, ScriptedSeasonRunsToCompletionWithConsistentLedgers) {
-  station::Deployment deployment{soak_config()};
-  deployment.run_days(130.0);  // reaching here at all = no wedged run
+  station::Fleet fleet{soak_config()};
+  fleet.run_days(130.0);  // reaching here at all = no wedged run
 
-  auto& base = deployment.base();
-  auto& reference = deployment.reference();
+  auto& base = fleet.station(0);
+  auto& reference = fleet.station(1);
 
   // Modem session ledgers: every attempted session is exactly one of
   // registration failure / hang / drop / success, outage weeks included.
@@ -65,18 +66,18 @@ TEST(FaultSoak, ScriptedSeasonRunsToCompletionWithConsistentLedgers) {
     EXPECT_EQ(
         station->metrics().counter_value("transfer_manager",
                                          "files_completed"),
-        std::uint64_t(deployment.server().files_from(station->name())));
+        std::uint64_t(fleet.server().files_from(station->name())));
   }
-  EXPECT_EQ(std::size_t(deployment.server().files_from("base") +
-                        deployment.server().files_from("reference")),
-            deployment.server().received().size());
+  EXPECT_EQ(std::size_t(fleet.server().files_from("base") +
+                        fleet.server().files_from("reference")),
+            fleet.server().received().size());
 
   // The scripted windows actually bit: devices recorded trips against the
   // shared oracle, and the trips surfaced in the fleet journal.
-  auto& oracle = deployment.fault_oracle();
+  auto& oracle = fleet.fault_oracle();
   EXPECT_GT(oracle.trips(fault::FaultKind::kGprsOutage), 0);
   EXPECT_GT(oracle.trips(fault::FaultKind::kServerDown), 0);
-  EXPECT_GE(deployment.fault_journal().count(obs::EventType::kFaultTrip),
+  EXPECT_GE(fleet.fault_journal().count(obs::EventType::kFaultTrip),
             2u);
 
   // The harvest blackout flattened the small base bank; §IV recovery
@@ -99,23 +100,23 @@ TEST(FaultSoak, ScriptedSeasonRunsToCompletionWithConsistentLedgers) {
   // every day ended as a completed or aborted run, never a silent wedge.
   const auto& ref_stats = reference.stats();
   EXPECT_GE(ref_stats.runs_completed + ref_stats.runs_aborted, 100);
-  EXPECT_GT(deployment.server().files_from("reference"), 100);
+  EXPECT_GT(fleet.server().files_from("reference"), 100);
 }
 
 TEST(FaultSoak, SameSeedSameSeasonIsByteIdentical) {
   // The oracle never draws randomness, so a scripted season must keep the
   // export byte-reproducible — the property every bench leans on.
   const auto render = [] {
-    station::Deployment deployment{soak_config()};
-    deployment.run_days(60.0);  // spans the outage + dgps windows
+    station::Fleet fleet{soak_config()};
+    fleet.run_days(60.0);  // spans the outage + dgps windows
     obs::BenchReport report;
     report.bench = "fault_soak_probe";
-    report.meta = {{"seed", std::to_string(deployment.config().seed)}};
+    report.meta = {{"seed", std::to_string(fleet.config().seed)}};
     report.sections = {
-        {"base", &deployment.base().metrics(), &deployment.base().journal()},
-        {"reference", &deployment.reference().metrics(),
-         &deployment.reference().journal()},
-        {"fault", &deployment.fault_metrics(), &deployment.fault_journal()}};
+        {"base", &fleet.station(0).metrics(), &fleet.station(0).journal()},
+        {"reference", &fleet.station(1).metrics(),
+         &fleet.station(1).journal()},
+        {"fault", &fleet.fault_metrics(), &fleet.fault_journal()}};
     return obs::to_json(report);
   };
   const std::string first = render();
@@ -128,19 +129,19 @@ TEST(FaultSoak, CleanPlanChangesNothing) {
   // An attached-but-empty plan must be invisible: same seed, same results
   // as no plan at all (the oracle only perturbs draws inside windows).
   const auto fingerprint = [](const std::string& spec) {
-    station::DeploymentConfig config;
+    station::FleetConfig config = station::paper_fleet_config();
     config.seed = 4242;
     config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
     config.trace_enabled = false;
     config.fault_spec = spec;
-    station::Deployment deployment{config};
-    deployment.run_days(30.0);
+    station::Fleet fleet{config};
+    fleet.run_days(30.0);
     return std::tuple{
-        deployment.base().stats().runs_completed,
-        deployment.base().gprs().sessions_attempted(),
-        deployment.server().bytes_from("base").count(),
-        deployment.server().bytes_from("reference").count(),
-        deployment.base().power().battery().soc()};
+        fleet.station(0).stats().runs_completed,
+        fleet.station(0).gprs().sessions_attempted(),
+        fleet.server().bytes_from("base").count(),
+        fleet.server().bytes_from("reference").count(),
+        fleet.station(0).power().battery().soc()};
   };
   EXPECT_EQ(fingerprint(""), fingerprint("# empty plan, comments only\n"));
 }

@@ -3,7 +3,7 @@
 // packet loss and probe mortality draws do.
 #include <gtest/gtest.h>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace gw::station {
 namespace {
@@ -11,13 +11,13 @@ namespace {
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, NinetyDayInvariants) {
-  DeploymentConfig config;
+  FleetConfig config = paper_fleet_config();
   config.seed = GetParam();
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
-  Deployment deployment{config};
-  deployment.run_days(90.0);
+  Fleet fleet{config};
+  fleet.run_days(90.0);
 
-  for (auto* station : {&deployment.base(), &deployment.reference()}) {
+  for (auto* station : {&fleet.station(0), &fleet.station(1)}) {
     // Physical bounds.
     EXPECT_GE(station->power().battery().soc(), 0.0);
     EXPECT_LE(station->power().battery().soc(), 1.0);
@@ -49,47 +49,47 @@ TEST_P(SeedSweep, NinetyDayInvariants) {
   }
 
   // Voltage trace physical bounds.
-  EXPECT_GT(deployment.trace().min_value("base.voltage"), 8.0);
-  EXPECT_LE(deployment.trace().max_value("base.voltage"), 14.5);
+  EXPECT_GT(fleet.trace().min_value("base.voltage"), 8.0);
+  EXPECT_LE(fleet.trace().max_value("base.voltage"), 14.5);
 
   // Data conservation per probe: everything sampled is delivered, pending,
   // or stranded on a dead probe — never silently lost.
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : fleet.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
   }
 
   // Server ledger consistency.
-  EXPECT_GE(deployment.server().files_from("base"), 0);
-  EXPECT_EQ(std::size_t(deployment.server().files_from("base") +
-                        deployment.server().files_from("reference")),
-            deployment.server().received().size());
+  EXPECT_GE(fleet.server().files_from("base"), 0);
+  EXPECT_EQ(std::size_t(fleet.server().files_from("base") +
+                        fleet.server().files_from("reference")),
+            fleet.server().received().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u));
 
 TEST(LongRun, FullYearBothStationsKeepWorking) {
-  DeploymentConfig config;
+  FleetConfig config = paper_fleet_config();
   config.seed = 2008;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
   config.trace_enabled = false;
-  Deployment deployment{config};
-  deployment.run_days(365.0);
+  Fleet fleet{config};
+  fleet.run_days(365.0);
 
-  const auto& base_stats = deployment.base().stats();
-  const auto& ref_stats = deployment.reference().stats();
+  const auto& base_stats = fleet.station(0).stats();
+  const auto& ref_stats = fleet.station(1).stats();
   // A year has 365 windows; most are served (brown-outs may cost a few,
   // and recovery brings the station back per §IV).
   EXPECT_GT(base_stats.runs_completed, 300);
   EXPECT_GT(ref_stats.runs_completed, 300);
   // Data flowed all year.
-  EXPECT_GT(deployment.server().bytes_from("base").mib(), 10.0);
-  EXPECT_GT(deployment.server().bytes_from("reference").mib(), 10.0);
+  EXPECT_GT(fleet.server().bytes_from("base").mib(), 10.0);
+  EXPECT_GT(fleet.server().bytes_from("reference").mib(), 10.0);
   // Probe attrition is within the survival model's plausible band
   // (paper: 4/7 at one year; Monte-Carlo spread covers 1..7).
-  EXPECT_GE(deployment.probes_alive(), 1);
+  EXPECT_GE(fleet.probes_alive(), 1);
 
   // The base station fetched probe data through the year.
   EXPECT_GT(base_stats.probe_readings_delivered, 10'000u);
@@ -98,23 +98,24 @@ TEST(LongRun, FullYearBothStationsKeepWorking) {
 TEST(LongRun, BrownOutRecoveryLeavesConsistentState) {
   // A deliberately under-provisioned station cycles through exhaustion and
   // recovery across a winter; afterwards every invariant still holds.
-  DeploymentConfig config;
+  FleetConfig config = paper_fleet_config();
   config.seed = 31;
   config.start = sim::DateTime{2008, 11, 1, 0, 0, 0};
-  config.base.power.battery.capacity = util::AmpHours{6.0};  // tiny bank
-  config.base.power.battery.initial_soc = 0.6;
+  auto& battery = config.stations[0].station.power.battery;
+  battery.capacity = util::AmpHours{6.0};  // tiny bank
+  battery.initial_soc = 0.6;
   config.trace_enabled = false;
-  Deployment deployment{config};
-  deployment.run_days(180.0);
+  Fleet fleet{config};
+  fleet.run_days(180.0);
 
-  auto& base = deployment.base();
+  auto& base = fleet.station(0);
   // It suffered, but arithmetic still holds.
   EXPECT_GE(base.power().battery().soc(), 0.0);
   EXPECT_LE(base.power().battery().soc(), 1.0);
   if (base.stats().brown_outs > 0) {
     EXPECT_GE(base.stats().cold_boots, 1);
   }
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : fleet.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
@@ -124,21 +125,21 @@ TEST(LongRun, BrownOutRecoveryLeavesConsistentState) {
 TEST(LongRun, EighteenMonthsCrossingTwoWinters) {
   // The paper's own horizon: probes reporting "after 18 months under the
   // ice", base stations surviving winters with adaptation + recovery.
-  DeploymentConfig config;
+  FleetConfig config = paper_fleet_config();
   config.seed = 77;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
   config.trace_enabled = false;
-  Deployment deployment{config};
-  deployment.run_days(547.0);
+  Fleet fleet{config};
+  fleet.run_days(547.0);
 
   // Data kept flowing across both winters.
-  EXPECT_GT(deployment.base().stats().runs_completed, 450);
-  EXPECT_GT(deployment.server().bytes_from("base").mib(), 20.0);
+  EXPECT_GT(fleet.station(0).stats().runs_completed, 450);
+  EXPECT_GT(fleet.server().bytes_from("base").mib(), 20.0);
   // Probe attrition is in the wear-out band (paper: 2/7 at 18 months; the
   // per-deployment spread is wide).
-  EXPECT_LE(deployment.probes_alive(), 6);
+  EXPECT_LE(fleet.probes_alive(), 6);
   // Conservation still exact after 18 months of protocol traffic.
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : fleet.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
@@ -147,19 +148,19 @@ TEST(LongRun, EighteenMonthsCrossingTwoWinters) {
 
 TEST(LongRun, TwoIdenticalYearsAreBitIdentical) {
   auto run_year = [] {
-    DeploymentConfig config;
+    FleetConfig config = paper_fleet_config();
     config.seed = 555;
     config.trace_enabled = false;
-    Deployment deployment{config};
-    deployment.run_days(200.0);
+    Fleet fleet{config};
+    fleet.run_days(200.0);
     return std::tuple{
-        deployment.base().stats().runs_completed,
-        deployment.base().stats().brown_outs,
-        deployment.base().stats().probe_readings_delivered,
-        deployment.server().bytes_from("base").count(),
-        deployment.server().bytes_from("reference").count(),
-        deployment.base().power().battery().soc(),
-        deployment.probes_alive()};
+        fleet.station(0).stats().runs_completed,
+        fleet.station(0).stats().brown_outs,
+        fleet.station(0).stats().probe_readings_delivered,
+        fleet.server().bytes_from("base").count(),
+        fleet.server().bytes_from("reference").count(),
+        fleet.station(0).power().battery().soc(),
+        fleet.probes_alive()};
   };
   EXPECT_EQ(run_year(), run_year());
 }

@@ -1,36 +1,39 @@
-// System-level observability: a full Deployment run must produce the core
-// metric set documented in docs/OBSERVABILITY.md, and the export must be
-// deterministic — two identically-seeded runs give byte-identical JSON.
+// System-level observability: a full paper_fleet_config() run must produce
+// the core metric set documented in docs/OBSERVABILITY.md, and the export
+// must be deterministic — two identically-seeded runs give byte-identical
+// JSON.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "obs/export.h"
 #include "sim/trace_export.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
 
 namespace gw {
 namespace {
 
-station::DeploymentConfig short_config() {
-  station::DeploymentConfig config;
+station::FleetConfig short_config() {
+  station::FleetConfig config = station::paper_fleet_config();
+  auto& base = config.stations[0].station;
+  auto& reference = config.stations[1].station;
   config.seed = 2008;
   config.start = sim::DateTime{2009, 9, 1, 0, 0, 0};
   // Reliable comms so the transfer-side metrics are exercised every day.
-  config.base.gprs.registration_success = 1.0;
-  config.base.gprs.drop_per_minute = 0.0;
-  config.reference.gprs.registration_success = 1.0;
-  config.reference.gprs.drop_per_minute = 0.0;
-  config.base.power.battery.initial_soc = 0.95;
-  config.reference.power.battery.initial_soc = 0.95;
+  base.gprs.registration_success = 1.0;
+  base.gprs.drop_per_minute = 0.0;
+  reference.gprs.registration_success = 1.0;
+  reference.gprs.drop_per_minute = 0.0;
+  base.power.battery.initial_soc = 0.95;
+  reference.power.battery.initial_soc = 0.95;
   return config;
 }
 
 TEST(Observability, DeploymentProducesTheDocumentedCoreMetricSet) {
-  station::Deployment deployment{short_config()};
-  deployment.run_days(5.0);
+  station::Fleet fleet{short_config()};
+  fleet.run_days(5.0);
 
-  const auto& base = deployment.base();
+  const auto& base = fleet.station(0);
   const auto& metrics = base.metrics();
 
   // station.*
@@ -87,24 +90,24 @@ TEST(Observability, DeploymentProducesTheDocumentedCoreMetricSet) {
 
   // The reference station is instrumented too, but never runs the probe
   // protocol (no probe branch in its Fig 4 sequence).
-  const auto& ref_metrics = deployment.reference().metrics();
+  const auto& ref_metrics = fleet.station(1).metrics();
   EXPECT_GE(ref_metrics.counter_value("station", "wakes"), 4u);
   EXPECT_EQ(ref_metrics.counter_value("bulk_transfer", "sessions"), 0u);
 }
 
 TEST(Observability, SameSeedExportsAreByteIdentical) {
   const auto render = [] {
-    station::Deployment deployment{short_config()};
-    deployment.run_days(3.0);
+    station::Fleet fleet{short_config()};
+    fleet.run_days(3.0);
     obs::BenchReport report;
     report.bench = "determinism_probe";
-    report.meta = {{"seed", std::to_string(deployment.config().seed)}};
+    report.meta = {{"seed", std::to_string(fleet.config().seed)}};
     report.sections = {
-        {"base", &deployment.base().metrics(), &deployment.base().journal()},
-        {"reference", &deployment.reference().metrics(),
-         &deployment.reference().journal()}};
+        {"base", &fleet.station(0).metrics(), &fleet.station(0).journal()},
+        {"reference", &fleet.station(1).metrics(),
+         &fleet.station(1).journal()}};
     report.series = sim::to_obs_series(
-        deployment.trace(), std::vector<std::string>{"base.voltage"});
+        fleet.trace(), std::vector<std::string>{"base.voltage"});
     return obs::to_json(report);
   };
   const std::string first = render();

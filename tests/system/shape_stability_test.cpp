@@ -1,8 +1,8 @@
 // Shape-stability sweeps: the figure-level shapes the paper reports must
 // hold across seeds, not just for the bench's seed. These are the
 // regression guards for model recalibrations — plus the fleet-refactor
-// guard: the two-station Deployment preset must keep exporting the exact
-// bytes the hand-wired pre-fleet assembly produced.
+// guard: the two-station paper_fleet_config() preset must keep exporting
+// the exact bytes the hand-wired pre-fleet assembly produced.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +10,8 @@
 #include "env/environment.h"
 #include "obs/export.h"
 #include "sim/trace_export.h"
-#include "station/deployment.h"
+#include "station/fleet.h"
+#include "util/crc32.h"
 
 namespace gw {
 namespace {
@@ -35,28 +36,33 @@ std::string render_two_station_export(station::Fleet& fleet,
   return obs::to_json(report);
 }
 
-TEST(FleetRefactor, DeploymentPresetExportsMatchEquivalentFleet) {
-  // The refactor contract: Deployment is *nothing but* a FleetConfig
-  // preset. Running the preset through Deployment and running its
-  // to_fleet_config() through a bare Fleet must yield byte-identical
-  // trace/metrics/journal exports — legacy probe naming included.
-  station::DeploymentConfig config;
+// CRC-32 of render_two_station_export() for the paper preset at seed
+// 20081019 with the fault spec below, 20 days: the bytes the two-station
+// preset produced before it became a plain FleetConfig. Re-pin only for a
+// deliberate behaviour change (the failure message prints the new value).
+constexpr std::uint32_t kPaperPresetExportCrc = 0x6510d9deu;
+
+TEST(FleetRefactor, PaperPresetExportIsPinned) {
+  // The refactor contract: the paper deployment is *nothing but* a
+  // FleetConfig preset, and its trace/metrics/journal exports did not move
+  // a byte when the preset stopped having a class of its own — legacy
+  // probe naming included.
+  station::FleetConfig config = station::paper_fleet_config();
   config.seed = 20081019;
   config.fault_spec =
       "gprs_outage start=5d duration=2d severity=1.0\n"
       "server_down start=9d duration=12h\n";
-  station::Deployment deployment{config};
-  station::Fleet fleet{config.to_fleet_config()};
-  deployment.run_days(20.0);
+  station::Fleet fleet{config};
   fleet.run_days(20.0);
-  const std::string via_preset =
-      render_two_station_export(deployment.fleet(), config.seed);
-  const std::string via_fleet = render_two_station_export(fleet, config.seed);
-  EXPECT_EQ(via_preset, via_fleet);
-  EXPECT_EQ(via_preset.find("{\"schema\":\"glacsweb.bench.v1\""), 0u);
+  const std::string exported = render_two_station_export(fleet, config.seed);
+  EXPECT_EQ(exported.find("{\"schema\":\"glacsweb.bench.v1\""), 0u);
+  const std::uint32_t crc = util::crc32(exported);
+  EXPECT_EQ(crc, kPaperPresetExportCrc)
+      << "export of " << exported.size() << " bytes; crc 0x" << std::hex
+      << crc;
   // The legacy namespace survived: bare probe ids, no station prefix.
-  EXPECT_TRUE(deployment.trace().has_series("probe21.conductivity"));
-  EXPECT_FALSE(deployment.trace().has_series("base/probe21.conductivity"));
+  EXPECT_TRUE(fleet.trace().has_series("probe21.conductivity"));
+  EXPECT_FALSE(fleet.trace().has_series("base/probe21.conductivity"));
 }
 
 class ShapeSeeds : public ::testing::TestWithParam<std::uint64_t> {};

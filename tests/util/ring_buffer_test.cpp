@@ -24,7 +24,7 @@ TEST(RingBuffer, OldestFirstAccess) {
   EXPECT_EQ(buffer.at(0), 1);
   EXPECT_EQ(buffer.at(1), 2);
   EXPECT_EQ(buffer.at(2), 3);
-  EXPECT_THROW(buffer.at(3), std::out_of_range);
+  EXPECT_THROW((void)buffer.at(3), std::out_of_range);
 }
 
 TEST(RingBuffer, OverwritesOldestWhenFull) {

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "text.h"
+
 namespace gw::lint {
 namespace {
 
@@ -13,25 +15,8 @@ bool ends_with(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 bool is_ident_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-std::vector<std::size_t> line_starts(const std::string& text) {
-  std::vector<std::size_t> starts{0};
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') starts.push_back(i + 1);
-  }
-  return starts;
-}
-
-int line_of(const std::vector<std::size_t>& starts, std::size_t pos) {
-  auto it = std::upper_bound(starts.begin(), starts.end(), pos);
-  return int(it - starts.begin());
 }
 
 // --- tokenizer ------------------------------------------------------------

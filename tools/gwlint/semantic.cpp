@@ -5,12 +5,10 @@
 #include <map>
 #include <set>
 
+#include "text.h"
+
 namespace gw::lint {
 namespace {
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
 
 // Whole-token occurrence test (same contract as the GW001 scan).
 bool contains_token(const std::string& text, const std::string& token) {
