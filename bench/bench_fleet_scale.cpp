@@ -14,6 +14,7 @@
 // simulated time and simulated counters, so BENCH_fleet_scale.json is
 // reproducible byte-for-byte. Nothing here reads a clock: the host time of
 // a sharded day is BM_ShardedFleetDay in bench_microbench.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -21,7 +22,6 @@
 
 #include "bench_util.h"
 #include "runner/monte_carlo_runner.h"
-#include "runner/parallel_plan.h"
 #include "station/fleet.h"
 #include "station/sharded_fleet.h"
 #include "util/strings.h"
@@ -151,10 +151,9 @@ void run() {
   // --- sharded points: 256 -> 4096 stations on the window kernel ---------
   const std::size_t shards = bench::fleet_shards();
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // One world at a time, so the nested-parallelism plan gives the shard
-  // layer whatever the (absent) trial layer leaves: the whole machine.
-  const unsigned shard_workers =
-      runner::plan_nested(hw, 1, shards).shard_workers;
+  // One world at a time, so the shard layer gets the whole machine, one
+  // worker per shard at most.
+  const unsigned shard_workers = std::min(hw, unsigned(shards));
   bench::subheading("sharded fleet: 256 -> 4096 stations (" +
                     std::to_string(shards) + " shards, " +
                     std::to_string(shard_workers) + " workers)");

@@ -9,13 +9,17 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, power_test, env_test, snapshot_test, station_test and
-#      sim_test in a separate build-asan/ dir with -DGW_SANITIZE=address
-#      (ASan+UBSan), runs the fault soak, the three whole suites, the fleet
-#      suites (FleetTest.*, ShardedFleetTest.*, FleetSnapshotTest.*,
-#      FleetAssembly.*) and the kernel suites (Simulation.*, the
+#      system_test, power_test, env_test, snapshot_test, station_test,
+#      sim_test, util_test, core_test and proto_test in a separate
+#      build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan), runs the
+#      fault soak, the four whole suites (power, env, snapshot, util), the
+#      fleet suites (FleetTest.*, ShardedFleetTest.*, FleetSnapshotTest.*,
+#      FleetAssembly.*), the kernel suites (Simulation.*, the
 #      AdversarialSeeds/EventOrderGolden.* golden order incl. the sequence
-#      wrap, ShardedSimulation.*) under it — a dangling power ledger slot,
+#      wrap, ShardedSimulation.*) and the byte codecs (util/byte_io.h in
+#      util_test, the MSP schedule image DaySchedule.*, the probe frames
+#      ProbeFrames.* and FramesOverLink.*) under it — an out-of-bounds
+#      read in index arithmetic over a byte span, a dangling power ledger slot,
 #      a stale environment memo after a restore, a FaultOracle* / Station&
 #      the shared fleet assembly (docs/FLEET.md, "One assembly") hands to
 #      an owner that outlives it, or a heap or delay-lane node pointing at
@@ -112,21 +116,25 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak + power/env/snapshot/fleet/kernel suites (build-asan/)"
+    echo "== ASan+UBSan fault soak + power/env/snapshot/fleet/kernel/codec suites (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test power_test env_test \
-         snapshot_test station_test sim_test -j >/dev/null &&
+         snapshot_test station_test sim_test util_test core_test proto_test \
+         -j >/dev/null &&
        ./build-asan/tests/system_test --gtest_filter='FaultSoak.*' &&
        ./build-asan/tests/power_test &&
        ./build-asan/tests/env_test &&
        ./build-asan/tests/snapshot_test &&
        ./build-asan/tests/station_test --gtest_filter='FleetTest.*:ShardedFleetTest.*:FleetSnapshotTest.*:FleetAssembly.*' &&
-       ./build-asan/tests/sim_test --gtest_filter='Simulation.*:*EventOrderGolden*:ShardedSimulation.*'
+       ./build-asan/tests/sim_test --gtest_filter='Simulation.*:*EventOrderGolden*:ShardedSimulation.*' &&
+       ./build-asan/tests/util_test &&
+       ./build-asan/tests/core_test --gtest_filter='DaySchedule.*' &&
+       ./build-asan/tests/proto_test --gtest_filter='ProbeFrames.*:FramesOverLink.*'
     then
-      echo "ok: fault soak + power/env/snapshot/fleet/kernel suites clean" \
-           "under ASan+UBSan"
+      echo "ok: fault soak + power/env/snapshot/fleet/kernel/codec suites" \
+           "clean under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak or power/env/snapshot/fleet/kernel suites"
+      echo "FAIL: sanitizer fault soak or power/env/snapshot/fleet/kernel/codec suites"
       failures=$((failures + 1))
     fi
   else

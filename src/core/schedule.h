@@ -14,7 +14,7 @@
 
 #include "core/power_policy.h"
 #include "sim/time.h"
-#include "util/crc32.h"
+#include "util/byte_io.h"
 #include "util/result.h"
 
 namespace gw::core {
@@ -47,60 +47,39 @@ struct DaySchedule {
   // All little-endian; minutes resolution matches the MSP timer grid.
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
-    std::vector<std::uint8_t> image;
-    image.push_back('G');
-    image.push_back('S');
-    image.push_back(1);
-    push_u16(image, std::uint16_t(wake_time.to_minutes()));
-    push_u16(image, std::uint16_t(sample_interval.to_minutes()));
+    std::vector<std::uint8_t> image{'G', 'S', 1};
+    util::put_u16(image, std::uint16_t(wake_time.to_minutes()));
+    util::put_u16(image, std::uint16_t(sample_interval.to_minutes()));
     image.push_back(std::uint8_t(gps_slots.size()));
     for (const auto& slot : gps_slots) {
-      push_u16(image, std::uint16_t(slot.to_minutes()));
+      util::put_u16(image, std::uint16_t(slot.to_minutes()));
     }
-    const std::uint32_t crc = util::crc32(
-        std::span<const std::uint8_t>(image.data(), image.size()));
-    for (int b = 0; b < 4; ++b) {
-      image.push_back(std::uint8_t((crc >> (8 * b)) & 0xff));
-    }
+    util::append_crc32_trailer(image);
     return image;
   }
 
   [[nodiscard]] static util::Result<DaySchedule> parse(
       std::span<const std::uint8_t> image) {
     if (image.size() < 12) return util::make_error("schedule: truncated");
-    const std::size_t body = image.size() - 4;
-    std::uint32_t stored = 0;
-    for (int b = 0; b < 4; ++b) {
-      stored |= std::uint32_t(image[body + std::size_t(b)]) << (8 * b);
-    }
-    if (util::crc32(image.subspan(0, body)) != stored) {
-      return util::make_error("schedule: crc mismatch");
-    }
-    if (image[0] != 'G' || image[1] != 'S' || image[2] != 1) {
+    const auto body = util::strip_crc32_trailer(image);
+    if (!body) return util::make_error("schedule: crc mismatch");
+    // The size check above guarantees the 8-byte header is there.
+    util::ByteReader in(*body);
+    if (in.take_u8().value() != 'G' || in.take_u8().value() != 'S' ||
+        in.take_u8().value() != 1) {
       return util::make_error("schedule: bad magic/version");
     }
     DaySchedule schedule;
-    schedule.wake_time = sim::minutes(read_u16(image, 3));
-    schedule.sample_interval = sim::minutes(read_u16(image, 5));
-    const std::size_t n = image[7];
-    if (image.size() != 8 + 2 * n + 4) {
+    schedule.wake_time = sim::minutes(in.take_u16().value());
+    schedule.sample_interval = sim::minutes(in.take_u16().value());
+    const std::size_t n = in.take_u8().value();
+    if (in.remaining() != 2 * n) {
       return util::make_error("schedule: slot count mismatch");
     }
     for (std::size_t k = 0; k < n; ++k) {
-      schedule.gps_slots.push_back(
-          sim::minutes(read_u16(image, 8 + 2 * k)));
+      schedule.gps_slots.push_back(sim::minutes(in.take_u16().value()));
     }
     return schedule;
-  }
-
- private:
-  static void push_u16(std::vector<std::uint8_t>& image, std::uint16_t v) {
-    image.push_back(std::uint8_t(v & 0xff));
-    image.push_back(std::uint8_t(v >> 8));
-  }
-  static std::uint16_t read_u16(std::span<const std::uint8_t> image,
-                                std::size_t at) {
-    return std::uint16_t(image[at] | (std::uint16_t(image[at + 1]) << 8));
   }
 };
 

@@ -1,6 +1,8 @@
 #include "proto/probe_frames.h"
 
-#include <cstring>
+#include <algorithm>
+
+#include "util/byte_io.h"
 
 namespace gw::proto {
 namespace {
@@ -8,59 +10,6 @@ namespace {
 constexpr std::uint8_t kSync0 = 0x7e;
 constexpr std::uint8_t kSync1 = 0x81;
 constexpr std::uint8_t kVersion = 1;
-
-void push_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(std::uint8_t(v & 0xff));
-  out.push_back(std::uint8_t(v >> 8));
-}
-
-void push_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) out.push_back(std::uint8_t((v >> (8 * b)) & 0xff));
-}
-
-void push_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(std::uint8_t((std::uint64_t(v) >> (8 * b)) & 0xff));
-  }
-}
-
-void push_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(std::uint8_t((bits >> (8 * b)) & 0xff));
-  }
-}
-
-std::uint16_t read_u16(std::span<const std::uint8_t> in, std::size_t at) {
-  return std::uint16_t(in[at] | (std::uint16_t(in[at + 1]) << 8));
-}
-
-std::uint32_t read_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int b = 0; b < 4; ++b) {
-    v |= std::uint32_t(in[at + std::size_t(b)]) << (8 * b);
-  }
-  return v;
-}
-
-std::int64_t read_i64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int b = 0; b < 8; ++b) {
-    v |= std::uint64_t(in[at + std::size_t(b)]) << (8 * b);
-  }
-  return std::int64_t(v);
-}
-
-double read_f64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t bits = 0;
-  for (int b = 0; b < 8; ++b) {
-    bits |= std::uint64_t(in[at + std::size_t(b)]) << (8 * b);
-  }
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -71,13 +20,11 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   wire.push_back(kSync1);
   wire.push_back(kVersion);
   wire.push_back(std::uint8_t(frame.type));
-  push_u16(wire, frame.probe_id);
-  push_u16(wire, std::uint16_t(frame.payload.size()));
-  push_u32(wire, frame.seq);
+  util::put_u16(wire, frame.probe_id);
+  util::put_u16(wire, std::uint16_t(frame.payload.size()));
+  util::put_u32(wire, frame.seq);
   wire.insert(wire.end(), frame.payload.begin(), frame.payload.end());
-  const std::uint32_t crc =
-      util::crc32(std::span<const std::uint8_t>(wire.data(), wire.size()));
-  push_u32(wire, crc);
+  util::append_crc32_trailer(wire);
   return wire;
 }
 
@@ -85,41 +32,41 @@ util::Result<Frame> decode_frame(std::span<const std::uint8_t> wire) {
   if (wire.size() < kHeaderBytes + kTrailerBytes) {
     return util::make_error("frame: truncated");
   }
-  const std::size_t body = wire.size() - kTrailerBytes;
-  if (util::crc32(wire.subspan(0, body)) != read_u32(wire, body)) {
-    return util::make_error("frame: crc mismatch");
-  }
-  if (wire[0] != kSync0 || wire[1] != kSync1) {
+  const auto body = util::strip_crc32_trailer(wire);
+  if (!body) return util::make_error("frame: crc mismatch");
+  // The size check above guarantees the whole header is there.
+  util::ByteReader in(*body);
+  if (in.take_u8().value() != kSync0 || in.take_u8().value() != kSync1) {
     return util::make_error("frame: bad sync");
   }
-  if (wire[2] != kVersion) return util::make_error("frame: bad version");
+  if (in.take_u8().value() != kVersion) {
+    return util::make_error("frame: bad version");
+  }
   Frame frame;
-  frame.type = FrameType(wire[3]);
-  frame.probe_id = read_u16(wire, 4);
-  const std::uint16_t length = read_u16(wire, 6);
-  frame.seq = read_u32(wire, 8);
-  if (wire.size() != kHeaderBytes + length + kTrailerBytes) {
+  frame.type = FrameType(in.take_u8().value());
+  frame.probe_id = in.take_u16().value();
+  const std::uint16_t length = in.take_u16().value();
+  frame.seq = in.take_u32().value();
+  if (in.remaining() != length) {
     return util::make_error("frame: length mismatch");
   }
-  frame.payload.assign(wire.begin() + kHeaderBytes,
-                       wire.begin() + std::ptrdiff_t(kHeaderBytes + length));
+  const auto payload = in.take(length).value();
+  frame.payload.assign(payload.begin(), payload.end());
   return frame;
 }
 
 std::vector<std::uint8_t> serialize_reading(const ProbeReading& reading) {
   std::vector<std::uint8_t> payload;
   payload.reserve(std::size_t(kReadingPayload.count()));
-  push_u16(payload, std::uint16_t(reading.probe_id));
-  push_u32(payload, reading.seq);
-  push_i64(payload, reading.sampled_ms);
-  push_f64(payload, reading.conductivity_us);
-  push_f64(payload, reading.pressure_kpa);
-  push_f64(payload, reading.tilt_deg);
-  push_f64(payload, reading.temperature_c);
+  util::put_u16(payload, std::uint16_t(reading.probe_id));
+  util::put_u32(payload, reading.seq);
+  util::put_i64(payload, reading.sampled_ms);
+  util::put_f64(payload, reading.conductivity_us);
+  util::put_f64(payload, reading.pressure_kpa);
+  util::put_f64(payload, reading.tilt_deg);
+  util::put_f64(payload, reading.temperature_c);
   // Pad to the fixed record size (2+4+8+32 = 46 -> 48).
-  while (payload.size() < std::size_t(kReadingPayload.count())) {
-    payload.push_back(0);
-  }
+  payload.resize(std::size_t(kReadingPayload.count()), 0);
   return payload;
 }
 
@@ -128,14 +75,16 @@ util::Result<ProbeReading> parse_reading(
   if (payload.size() != std::size_t(kReadingPayload.count())) {
     return util::make_error("reading: wrong payload size");
   }
+  // The size check above guarantees every field is there.
+  util::ByteReader in(payload);
   ProbeReading reading;
-  reading.probe_id = read_u16(payload, 0);
-  reading.seq = read_u32(payload, 2);
-  reading.sampled_ms = read_i64(payload, 6);
-  reading.conductivity_us = read_f64(payload, 14);
-  reading.pressure_kpa = read_f64(payload, 22);
-  reading.tilt_deg = read_f64(payload, 30);
-  reading.temperature_c = read_f64(payload, 38);
+  reading.probe_id = in.take_u16().value();
+  reading.seq = in.take_u32().value();
+  reading.sampled_ms = in.take_i64().value();
+  reading.conductivity_us = in.take_f64().value();
+  reading.pressure_kpa = in.take_f64().value();
+  reading.tilt_deg = in.take_f64().value();
+  reading.temperature_c = in.take_f64().value();
   return reading;
 }
 
@@ -156,8 +105,8 @@ std::vector<std::uint8_t> encode_resend_request(std::uint16_t probe_id,
   frame.seq = seq;
   // Payload: the request window (count=1 for individual re-fetch, §V) and
   // a flags word.
-  push_u32(frame.payload, 1);
-  push_u32(frame.payload, 0);
+  util::put_u32(frame.payload, 1);
+  util::put_u32(frame.payload, 0);
   return encode_frame(frame);
 }
 
@@ -167,7 +116,7 @@ std::vector<std::uint8_t> encode_ack(std::uint16_t probe_id,
   frame.type = FrameType::kAck;
   frame.probe_id = probe_id;
   frame.seq = seq;
-  push_u32(frame.payload, 0);  // status word
+  util::put_u32(frame.payload, 0);  // status word
   return encode_frame(frame);
 }
 
@@ -182,9 +131,9 @@ std::vector<std::vector<std::uint8_t>> encode_confirm(
     frame.type = FrameType::kConfirm;
     frame.probe_id = probe_id;
     frame.seq = std::uint32_t(offset);  // chunk index for idempotency
-    push_u16(frame.payload, std::uint16_t(n));
+    util::put_u16(frame.payload, std::uint16_t(n));
     for (std::size_t i = 0; i < n; ++i) {
-      push_u32(frame.payload, seqs[offset + i]);
+      util::put_u32(frame.payload, seqs[offset + i]);
     }
     frames.push_back(encode_frame(frame));
   }
@@ -193,7 +142,7 @@ std::vector<std::vector<std::uint8_t>> encode_confirm(
     Frame frame;
     frame.type = FrameType::kConfirm;
     frame.probe_id = probe_id;
-    push_u16(frame.payload, 0);
+    util::put_u16(frame.payload, 0);
     frames.push_back(encode_frame(frame));
   }
   return frames;
@@ -203,17 +152,16 @@ util::Result<std::vector<std::uint32_t>> parse_confirm(const Frame& frame) {
   if (frame.type != FrameType::kConfirm) {
     return util::make_error("confirm: wrong frame type");
   }
-  if (frame.payload.size() < 2) {
-    return util::make_error("confirm: truncated payload");
-  }
-  const std::uint16_t n = read_u16(frame.payload, 0);
-  if (frame.payload.size() != 2 + 4 * std::size_t(n)) {
+  util::ByteReader in(frame.payload);
+  const auto n = in.take_u16();
+  if (!n) return util::make_error("confirm: truncated payload");
+  if (in.remaining() != 4 * std::size_t(*n)) {
     return util::make_error("confirm: count mismatch");
   }
   std::vector<std::uint32_t> seqs;
-  seqs.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    seqs.push_back(read_u32(frame.payload, 2 + 4 * std::size_t(i)));
+  seqs.reserve(*n);
+  for (std::uint16_t i = 0; i < *n; ++i) {
+    seqs.push_back(in.take_u32().value());
   }
   return seqs;
 }

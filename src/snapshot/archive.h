@@ -22,11 +22,13 @@
 //     structurally — this layer sits below sim and never includes it);
 //   * anything else: its own persist() member, recursively.
 //
-// A Loader that runs out of payload throws SnapshotError(kSectionUnderrun)
-// immediately — short reads never yield zero-filled state.
+// The byte order and widths live in util/byte_io.h, shared with the GWSNAP
+// container, the probe frames and the MSP schedule image. A Loader that
+// runs out of payload throws SnapshotError(kSectionUnderrun) immediately —
+// short reads never yield zero-filled state.
 #pragma once
 
-#include <bit>
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <deque>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "snapshot/error.h"
+#include "util/byte_io.h"
 #include "util/rng.h"
 
 namespace gw::snapshot {
@@ -93,27 +96,27 @@ class Saver {
     if constexpr (std::is_same_v<D, bool>) {
       bytes_.push_back(v ? 1 : 0);
     } else if constexpr (std::is_enum_v<D>) {
-      put_u64(std::uint64_t(
+      util::put_i64(bytes_, std::int64_t(
           static_cast<std::underlying_type_t<D>>(v)));
     } else if constexpr (std::is_integral_v<D>) {
-      put_u64(std::uint64_t(static_cast<std::int64_t>(v)));
+      util::put_i64(bytes_, static_cast<std::int64_t>(v));
     } else if constexpr (std::is_floating_point_v<D>) {
-      put_u64(std::bit_cast<std::uint64_t>(double(v)));
+      util::put_f64(bytes_, double(v));
     } else if constexpr (std::is_same_v<D, std::string>) {
-      put_u64(v.size());
+      util::put_u64(bytes_, v.size());
       bytes_.insert(bytes_.end(), v.begin(), v.end());
     } else if constexpr (std::is_same_v<D, util::Rng>) {
       const util::RngState s = v.state();
-      for (const std::uint64_t word : s.words) put_u64(word);
-      put_u64(s.seed);
+      for (const std::uint64_t word : s.words) util::put_u64(bytes_, word);
+      util::put_u64(bytes_, s.seed);
     } else if constexpr (detail::DurationLike<D>) {
-      put_u64(std::uint64_t(std::int64_t(v.millis())));
+      util::put_i64(bytes_, std::int64_t(v.millis()));
     } else if constexpr (detail::TimePointLike<D>) {
-      put_u64(std::uint64_t(std::int64_t(v.millis_since_epoch())));
+      util::put_i64(bytes_, std::int64_t(v.millis_since_epoch()));
     } else if constexpr (detail::CountLike<D>) {
-      put_u64(std::uint64_t(std::int64_t(v.count())));
+      util::put_i64(bytes_, std::int64_t(v.count()));
     } else if constexpr (detail::QuantityLike<D>) {
-      put_u64(std::bit_cast<std::uint64_t>(double(v.value())));
+      util::put_f64(bytes_, double(v.value()));
     } else {
       // Persistable class; const_cast lets one persist() serve both
       // directions (the saver never mutates through it).
@@ -123,19 +126,19 @@ class Saver {
 
   template <class T>
   void value(const std::vector<T>& v) {
-    put_u64(v.size());
+    util::put_u64(bytes_, v.size());
     for (const T& item : v) value(item);
   }
 
   template <class T>
   void value(const std::deque<T>& v) {
-    put_u64(v.size());
+    util::put_u64(bytes_, v.size());
     for (const T& item : v) value(item);
   }
 
   template <class K, class V>
   void value(const std::map<K, V>& v) {
-    put_u64(v.size());
+    util::put_u64(bytes_, v.size());
     for (const auto& [key, item] : v) {
       value(key);
       value(item);
@@ -160,12 +163,6 @@ class Saver {
   }
 
  private:
-  void put_u64(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(std::uint8_t(x >> (8 * i)));
-    }
-  }
-
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -173,34 +170,33 @@ class Loader {
  public:
   static constexpr bool kIsSaver = false;
 
-  explicit Loader(std::span<const std::uint8_t> payload) : data_(payload) {}
+  explicit Loader(std::span<const std::uint8_t> payload) : in_(payload) {}
 
   template <class T>
   void value(T& v) {
     using D = std::remove_cvref_t<T>;
     if constexpr (std::is_same_v<D, bool>) {
-      v = take_byte() != 0;
+      v = need(in_.take_u8(), 1) != 0;
     } else if constexpr (std::is_enum_v<D>) {
-      v = static_cast<D>(
-          static_cast<std::underlying_type_t<D>>(std::int64_t(take_u64())));
+      v = static_cast<D>(static_cast<std::underlying_type_t<D>>(i64()));
     } else if constexpr (std::is_integral_v<D>) {
-      v = static_cast<D>(std::int64_t(take_u64()));
+      v = static_cast<D>(i64());
     } else if constexpr (std::is_floating_point_v<D>) {
-      v = static_cast<D>(std::bit_cast<double>(take_u64()));
+      v = static_cast<D>(f64());
     } else if constexpr (std::is_same_v<D, std::string>) {
-      const std::uint64_t n = take_u64();
-      const std::span<const std::uint8_t> raw = take_bytes(n);
+      const std::uint64_t n = u64();
+      const std::span<const std::uint8_t> raw = need(in_.take(n), n);
       v.assign(raw.begin(), raw.end());
     } else if constexpr (std::is_same_v<D, util::Rng>) {
       util::RngState s;
-      for (std::uint64_t& word : s.words) word = take_u64();
-      s.seed = take_u64();
+      for (std::uint64_t& word : s.words) word = u64();
+      s.seed = u64();
       v.restore_state(s);
     } else if constexpr (detail::DurationLike<D> ||
                          detail::TimePointLike<D> || detail::CountLike<D>) {
-      v = D{std::int64_t(take_u64())};
+      v = D{i64()};
     } else if constexpr (detail::QuantityLike<D>) {
-      v = D{std::bit_cast<double>(take_u64())};
+      v = D{f64()};
     } else {
       v.persist(*this);
     }
@@ -208,9 +204,12 @@ class Loader {
 
   template <class T>
   void value(std::vector<T>& v) {
-    const std::uint64_t n = take_u64();
+    const std::uint64_t n = u64();
     v.clear();
-    v.reserve(std::size_t(n));
+    // A count read from damaged or drifted payload can be anything; cap
+    // the reserve at the bytes left so a lie underruns (typed) instead of
+    // throwing bad_alloc. Elements of non-empty types take at least a byte.
+    v.reserve(std::size_t(std::min<std::uint64_t>(n, in_.remaining())));
     for (std::uint64_t i = 0; i < n; ++i) {
       T item{};
       value(item);
@@ -220,7 +219,7 @@ class Loader {
 
   template <class T>
   void value(std::deque<T>& v) {
-    const std::uint64_t n = take_u64();
+    const std::uint64_t n = u64();
     v.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
       T item{};
@@ -231,7 +230,7 @@ class Loader {
 
   template <class K, class V>
   void value(std::map<K, V>& v) {
-    const std::uint64_t n = take_u64();
+    const std::uint64_t n = u64();
     v.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
       K key{};
@@ -265,45 +264,37 @@ class Loader {
     for (T& item : v) value(item);
   }
 
-  [[nodiscard]] std::size_t remaining() const {
-    return data_.size() - pos_;
-  }
+  [[nodiscard]] std::size_t remaining() const { return in_.remaining(); }
 
   // A persist() must consume its section exactly; leftover bytes mean the
   // payload and the code disagree about the field list.
   void expect_end() const {
-    if (pos_ != data_.size()) {
+    if (in_.remaining() != 0) {
       throw SnapshotError(SnapshotErrc::kTrailingBytes,
-                          std::to_string(data_.size() - pos_) +
+                          std::to_string(in_.remaining()) +
                               " unread byte(s) after persist()");
     }
   }
 
-  // Raw helpers (the framing reader reuses them).
-  [[nodiscard]] std::uint64_t take_u64() {
-    const std::span<const std::uint8_t> raw = take_bytes(8);
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) x |= std::uint64_t(raw[std::size_t(i)]) << (8 * i);
-    return x;
-  }
-
-  [[nodiscard]] std::uint8_t take_byte() { return take_bytes(1)[0]; }
-
-  [[nodiscard]] std::span<const std::uint8_t> take_bytes(std::uint64_t n) {
-    if (n > data_.size() - pos_) {
-      throw SnapshotError(SnapshotErrc::kSectionUnderrun,
-                          "read of " + std::to_string(n) + " byte(s) with " +
-                              std::to_string(data_.size() - pos_) +
-                              " left");
-    }
-    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
  private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
+  // Unwraps one read of `n` bytes, or throws kSectionUnderrun.
+  template <class T>
+  T need(std::optional<T> got, std::uint64_t n) const {
+    if (!got) underrun(n);
+    return *got;
+  }
+
+  [[noreturn]] void underrun(std::uint64_t n) const {
+    throw SnapshotError(SnapshotErrc::kSectionUnderrun,
+                        "read of " + std::to_string(n) + " byte(s) with " +
+                            std::to_string(in_.remaining()) + " left");
+  }
+
+  std::uint64_t u64() { return need(in_.take_u64(), 8); }
+  std::int64_t i64() { return need(in_.take_i64(), 8); }
+  double f64() { return need(in_.take_f64(), 8); }
+
+  util::ByteReader in_;
 };
 
 }  // namespace gw::snapshot

@@ -20,6 +20,14 @@ constexpr util::Bytes kSpecialQuery{768};
 constexpr std::int64_t kSampleRecordBytes = 16;
 constexpr std::int64_t kSensorRecordBytes = 24;
 
+// Slice of the watchdog window reserved for probe sessions (halved while
+// degraded).
+constexpr sim::Duration kProbeSessionBudget = sim::minutes(30);
+// Upload window while degraded by sustained comms failure.
+constexpr sim::Duration kDegradedUploadBudget = sim::minutes(8);
+// Forced communication still needs a sliver of battery.
+constexpr double kForcedCommsMinSoc = 0.05;
+
 // Clock for the daily-run ScopedTimer: simulated seconds since the epoch.
 double sim_clock_seconds(void* ctx) {
   return double(
@@ -310,8 +318,7 @@ std::optional<sim::Duration> Station::probe_chunk() {
     // Degraded mode defers probe work: half the session budget, so the
     // queue the network cannot drain stops growing twice as fast.
     const sim::Duration session_budget =
-        degraded_ ? config_.probe_session_budget / 2
-                  : config_.probe_session_budget;
+        degraded_ ? kProbeSessionBudget / 2 : kProbeSessionBudget;
     const sim::Duration budget_left = std::min(
         session_budget - probe_budget_used_, watchdog_.remaining());
     if (budget_left <= sim::Duration{0}) return std::nullopt;
@@ -493,7 +500,7 @@ sim::Duration Station::upload_data() {
   const sim::Duration reserve = sim::minutes(5);
   sim::Duration budget = watchdog_.remaining() - reserve;
   if (degraded_) {
-    budget = std::min(budget, config_.degraded_upload_budget);
+    budget = std::min(budget, kDegradedUploadBudget);
   }
   if (budget <= sim::Duration{0}) return sim::Duration{0};
   if (!server_reachable()) {
@@ -643,7 +650,7 @@ sim::Duration Station::apply_pending_update() {
 bool Station::comms_allowed() {
   if (local_voltage_state_ != core::PowerState::kState0) return true;
   if (!config_.enable_data_priority || !urgent_data_today_) return false;
-  if (power_.battery().soc() < config_.forced_comms_min_soc) return false;
+  if (power_.battery().soc() < kForcedCommsMinSoc) return false;
   // §VII: "forcing communication even if the available power is marginal
   // if the data warrants it."
   if (!forced_comms_counted_) {

@@ -77,9 +77,6 @@ struct StationConfig {
   // backlog cannot starve remote commands. Off = deployed (Fig 4) order.
   bool execute_special_before_upload = false;
 
-  // Slice of the watchdog window reserved for probe sessions.
-  sim::Duration probe_session_budget = sim::minutes(30);
-
   core::PowerPolicyConfig policy;
   core::RecoveryConfig recovery;
   power::PowerSystemConfig power;
@@ -103,17 +100,14 @@ struct StationConfig {
   // behaviour (strict FIFO: every file is enqueued at priority 0).
   bool prioritize_science_data = false;
   core::DataPriorityConfig data_priority;
-  // Forced communication still needs a sliver of battery.
-  double forced_comms_min_soc = 0.05;
   // Graceful degradation under sustained comms failure: after this many
   // consecutive daily runs with zero upload progress the station drops to a
   // log-only upload (science files stay queued), shrinks the window to
-  // degraded_upload_budget, and halves the probe session budget — burning
+  // 8 minutes, and halves the 30-minute probe session budget — burning
   // watts into a dead network is the one thing a glacier winter cannot
   // forgive. A day that completes any upload exits the mode. 0 = disabled
   // (deployed behaviour).
   int degrade_after_failed_days = 0;
-  sim::Duration degraded_upload_budget = sim::minutes(8);
   // DVFS frequency plan by power state (docs/ENERGY.md): for each of the
   // four Table 2 states, the operating-point index (into
   // gumstix.frequency_plan) the Gumstix runs the daily window at. -1 = the

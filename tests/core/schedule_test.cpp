@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/sealed_pin.h"
+
 namespace gw::core {
 namespace {
 
@@ -58,12 +60,8 @@ TEST(DaySchedule, BadMagicRejected) {
   auto image = DaySchedule::for_state(PowerState::kState2).serialize();
   // Flip the magic AND refresh the CRC, isolating the magic check.
   image[0] = 'X';
-  const std::size_t body = image.size() - 4;
-  const auto crc = util::crc32(
-      std::span<const std::uint8_t>(image.data(), body));
-  for (int b = 0; b < 4; ++b) {
-    image[body + std::size_t(b)] = std::uint8_t((crc >> (8 * b)) & 0xff);
-  }
+  image.resize(image.size() - 4);
+  util::append_crc32_trailer(image);
   const auto parsed = DaySchedule::parse(image);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().message.find("magic"), std::string::npos);
@@ -73,6 +71,29 @@ TEST(DaySchedule, ImageIsCompact) {
   // It must fit comfortably in MSP430 RAM alongside the sample buffer.
   EXPECT_LE(DaySchedule::for_state(PowerState::kState3).serialize().size(),
             40u);
+}
+
+// Golden MSP image bytes per power state (a byte that moves fails here even
+// where it would still round-trip). States 0 and 1 both have no dGPS
+// slots, so their images are the same bytes.
+TEST(DaySchedule, ImageBytesArePinned) {
+  using test::matches_sealed_pin;
+  EXPECT_TRUE(matches_sealed_pin(
+      DaySchedule::for_state(PowerState::kState0).serialize(),
+      {0xAA5F0DBA, 12}));
+  EXPECT_TRUE(matches_sealed_pin(
+      DaySchedule::for_state(PowerState::kState1).serialize(),
+      {0xAA5F0DBA, 12}));
+  EXPECT_TRUE(matches_sealed_pin(
+      DaySchedule::for_state(PowerState::kState2).serialize(),
+      {0xFEEDA07E, 14}));
+  EXPECT_TRUE(matches_sealed_pin(
+      DaySchedule::for_state(PowerState::kState3).serialize(),
+      {0x407BD653, 36}));
+  EXPECT_TRUE(matches_sealed_pin(
+      DaySchedule::for_state(PowerState::kState2, sim::hours(9.5))
+          .serialize(),
+      {0x593D5927, 14}));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "support/sealed_pin.h"
+
 namespace gw::proto {
 namespace {
 
@@ -107,6 +112,33 @@ TEST(ProbeFrames, NegativeAndExtremeValuesSurvive) {
   EXPECT_EQ(parsed.value().seq, 0xffffffffu);
   EXPECT_EQ(parsed.value().sampled_ms, -1);
   EXPECT_DOUBLE_EQ(parsed.value().pressure_kpa, 1e9);
+}
+
+// Golden wire bytes, one frame of each FrameType: a codec change that moves
+// a byte (order, width, padding, field order) fails here even where it
+// would still round-trip, because both directions moved together.
+TEST(ProbeFrames, WireBytesArePinned) {
+  using test::matches_sealed_pin;
+  const auto payload = serialize_reading(sample_reading());
+  EXPECT_EQ(util::crc32(payload), 0x95F8536Au);
+  EXPECT_EQ(payload.size(), 48u);
+  EXPECT_TRUE(matches_sealed_pin(encode_reading_frame(sample_reading()),
+                                 {0xAD596E5F, 64}));
+  EXPECT_TRUE(
+      matches_sealed_pin(encode_resend_request(21, 404), {0x62A86E7F, 24}));
+  EXPECT_TRUE(matches_sealed_pin(encode_ack(21, 7), {0x53739B83, 20}));
+  EXPECT_TRUE(matches_sealed_pin(encode_query_pending(24), {0x0ACA7A35, 16}));
+
+  // 57 sequences split into a full 56-sequence frame and a 1-sequence one.
+  std::vector<std::uint32_t> seqs;
+  for (std::uint32_t i = 0; i < 57; ++i) seqs.push_back(1000 + 3 * i);
+  const auto confirm = encode_confirm(24, seqs);
+  ASSERT_EQ(confirm.size(), 2u);
+  EXPECT_TRUE(matches_sealed_pin(confirm[0], {0x04FF12A0, 242}));
+  EXPECT_TRUE(matches_sealed_pin(confirm[1], {0x1E87627E, 22}));
+  const auto empty = encode_confirm(24, {});
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_TRUE(matches_sealed_pin(empty[0], {0xD0939A1C, 18}));
 }
 
 }  // namespace

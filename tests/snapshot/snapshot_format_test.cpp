@@ -2,7 +2,7 @@
 //
 // The format's promise is that *no* damaged or mismatched byte stream is
 // ever half-restored: wrong magic, wrong version, truncation at any length,
-// any single flipped byte, duplicate or missing sections, and persist()
+// any single flipped bit, duplicate or missing sections, and persist()
 // routines that under- or over-read their section all surface as a typed
 // SnapshotError. The corruption cases are property sweeps — every prefix
 // length and every byte offset of a real container — not hand-picked
@@ -21,6 +21,7 @@
 #include "snapshot/archive.h"
 #include "snapshot/error.h"
 #include "snapshot/state_writer.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace gw::snapshot {
@@ -154,15 +155,20 @@ TEST(StateReaderTest, TruncationAtEveryLengthThrows) {
   }
 }
 
-// Property sweep: every single flipped byte must be caught — the section
-// CRCs cover payloads, the trailer CRC covers all framing.
+// Property sweep: every single flipped bit of every byte must be caught as
+// a typed SnapshotError — the section CRCs cover payloads, the trailer CRC
+// covers all framing, and a flipped length or count (say the top bit of
+// the section count) must not turn into a huge allocation first.
 TEST(StateReaderTest, EveryFlippedByteIsCaught) {
   const auto bytes = sample_container();
   for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
-    auto damaged = bytes;
-    damaged[offset] ^= 0x01;
-    EXPECT_THROW({ const StateReader reader(damaged); }, SnapshotError)
-        << "accepted a stream with byte " << offset << " flipped";
+    for (int bit = 0; bit < 8; ++bit) {
+      auto damaged = bytes;
+      damaged[offset] ^= std::uint8_t(1u << bit);
+      EXPECT_THROW({ const StateReader reader(damaged); }, SnapshotError)
+          << "accepted a stream with bit " << bit << " of byte " << offset
+          << " flipped";
+    }
   }
 }
 
@@ -207,6 +213,25 @@ TEST(LoaderTest, UnderrunIsTyped) {
   }
 }
 
+// A count that field-list drift or damage turned into garbage must fail as
+// an underrun, not as std::length_error or std::bad_alloc from reserving it.
+TEST(LoaderTest, LyingVectorCountIsTyped) {
+  for (const std::uint64_t count :
+       {~std::uint64_t{0}, std::uint64_t{1} << 40, std::uint64_t{3}}) {
+    Saver saver;
+    saver.value(count);  // the count alone, no elements
+    const auto payload = saver.take();
+    Loader loader(payload);
+    std::vector<double> values;
+    try {
+      loader.value(values);
+      FAIL() << "read " << count << " elements from an 8-byte payload";
+    } catch (const SnapshotError& error) {
+      EXPECT_EQ(error.code(), SnapshotErrc::kSectionUnderrun) << count;
+    }
+  }
+}
+
 TEST(LoaderTest, LeftoverBytesAreTyped) {
   Saver saver;
   saver.value(std::uint64_t{1});
@@ -224,33 +249,48 @@ TEST(LoaderTest, LeftoverBytesAreTyped) {
   }
 }
 
-TEST(ArchiveTest, RoundTripsRepresentativeTypes) {
-  Saver saver;
-  saver.value(std::int64_t{-5});
-  saver.value(std::uint32_t{77});
-  saver.value(false);
-  saver.value(Color::kBlue);
-  saver.value(2.5);
-  saver.value(std::string("station/base"));
-  const std::vector<double> doubles{1.0, -2.0, 0.25};
-  saver.value(doubles);
-  const std::deque<std::int64_t> deque_in{9, 8, 7};
-  saver.value(deque_in);
-  const std::map<std::string, std::int64_t> map_in{{"a", 1}, {"b", 2}};
-  saver.value(map_in);
-  const std::optional<Point> present = Point{3, 4};
-  const std::optional<Point> absent;
-  saver.value(present);
-  saver.value(absent);
-  const std::pair<std::int64_t, double> pair_in{11, 0.5};
-  saver.value(pair_in);
-  const sim::Duration interval = sim::minutes(30);
-  saver.value(interval);
+// One value of every primitive kind the archive encodes.
+struct Representative {
+  std::vector<double> doubles{1.0, -2.0, 0.25};
+  std::deque<std::int64_t> deque{9, 8, 7};
+  std::map<std::string, std::int64_t> map{{"a", 1}, {"b", 2}};
+  std::pair<std::int64_t, double> pair{11, 0.5};
+  sim::Duration interval = sim::minutes(30);
   util::Rng rng{1234};
-  (void)rng.uniform();
-  saver.value(rng);
 
-  const auto payload = saver.take();
+  // The stream of every value; `rng` is saved after one draw.
+  std::vector<std::uint8_t> save() {
+    Saver saver;
+    saver.value(std::int64_t{-5});
+    saver.value(std::uint32_t{77});
+    saver.value(false);
+    saver.value(Color::kBlue);
+    saver.value(2.5);
+    saver.value(std::string("station/base"));
+    saver.value(doubles);
+    saver.value(deque);
+    saver.value(map);
+    saver.value(std::optional<Point>(Point{3, 4}));
+    saver.value(std::optional<Point>());
+    saver.value(pair);
+    saver.value(interval);
+    (void)rng.uniform();
+    saver.value(rng);
+    return saver.take();
+  }
+};
+
+// Golden archive bytes: every field of every snapshot section is built from
+// these encodings, so a byte that moves here moves every snapshot.
+TEST(ArchiveTest, SaverStreamIsPinned) {
+  const auto payload = Representative{}.save();
+  EXPECT_EQ(util::crc32(payload), 0x666F1759u);
+  EXPECT_EQ(payload.size(), 241u);
+}
+
+TEST(ArchiveTest, RoundTripsRepresentativeTypes) {
+  Representative in;
+  const auto payload = in.save();
   Loader loader(payload);
   std::int64_t negative = 0;
   std::uint32_t small = 0;
@@ -288,16 +328,16 @@ TEST(ArchiveTest, RoundTripsRepresentativeTypes) {
   EXPECT_EQ(color, Color::kBlue);
   EXPECT_EQ(scale, 2.5);
   EXPECT_EQ(name, "station/base");
-  EXPECT_EQ(doubles_out, doubles);
-  EXPECT_EQ(deque_out, deque_in);
-  EXPECT_EQ(map_out, map_in);
+  EXPECT_EQ(doubles_out, in.doubles);
+  EXPECT_EQ(deque_out, in.deque);
+  EXPECT_EQ(map_out, in.map);
   ASSERT_TRUE(present_out.has_value());
   EXPECT_EQ(*present_out, Point(3, 4));
   EXPECT_FALSE(absent_out.has_value());
-  EXPECT_EQ(pair_out, pair_in);
-  EXPECT_EQ(interval_out, interval);
+  EXPECT_EQ(pair_out, in.pair);
+  EXPECT_EQ(interval_out, in.interval);
   // The restored generator must continue the stream, not restart it.
-  EXPECT_EQ(rng_out.uniform(), rng.uniform());
+  EXPECT_EQ(rng_out.uniform(), in.rng.uniform());
 }
 
 }  // namespace
